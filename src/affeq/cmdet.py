@@ -6,11 +6,15 @@ isometrically in Euclidean d-space, the simplex volume they span, and on
 which side of a facet hyperplane two points lie.  Everything here is a pure
 function of a :class:`SquaredDistanceMatrix`; no coordinates are needed.
 
-Two arithmetic modes are supported throughout.  If every entry is a Python
-rational (``int`` / ``Fraction``) the determinants are evaluated exactly and
-comparisons are exact; otherwise evaluation is in double precision and every
-comparison is relative to the scale ``M**(|I|-1)`` where ``M`` is the largest
-entry magnitude over the subset (the determinant's homogeneity degree).
+One rule governs arithmetic throughout the package.  Evaluation follows the
+data's type: determinants of an all-rational matrix are exact ``Fraction``
+values, anything else is evaluated in double precision.  Decisions follow
+the data too.  Exact data is judged by a value's true sign; for the
+two-sided tests of :mod:`affeq.system` this also needs rational lengths and
+the ``"auto"`` policy.  Any other data is judged relative to the scale
+``M**(|I|-1)``, where ``M`` is the largest entry magnitude over the subset
+(the determinant's homogeneity degree): a value within ``rel_eps`` times
+that scale counts as zero.
 """
 
 from __future__ import annotations
@@ -171,9 +175,7 @@ def cmd(D: SquaredDistanceMatrix, index_set):
     if not index_set:
         raise InputError("index set must be nonempty")
     _check_subset(D, index_set)
-    if D.exact:
-        return bareiss_det(bordered_matrix(D.z, index_set))
-    return float(bordered_det_batch(D.as_array(), [index_set])[0])
+    return _evaluate(D, [index_set])[0][0]
 
 
 def simplex_volume_sq(D: SquaredDistanceMatrix, index_set):
@@ -186,15 +188,80 @@ def simplex_volume_sq(D: SquaredDistanceMatrix, index_set):
     if len(index_set) < 2:
         raise InputError("simplex volume needs at least two vertices")
     k = len(index_set) - 1
-    det = cmd(D, index_set)
-    if D.exact:
-        return Fraction((-1) ** (k + 1), 2**k * math.factorial(k) ** 2) * det
-    return (-1.0) ** (k + 1) / (2**k * math.factorial(k) ** 2) * det
+    return Fraction((-1) ** (k + 1), 2**k * math.factorial(k) ** 2) * cmd(D, index_set)
 
 
 def _legal_sign_violation(det, npoints):
     """Signed violation of the embeddability sign rule; positive = violated."""
     return -((-1) ** npoints * det)
+
+
+@dataclass(frozen=True)
+class _Rule:
+    """How the determinant tests on one side's data are decided.
+
+    ``exact`` means true signs: it holds only for all-rational data under the
+    ``"auto"`` policy.  Otherwise a value within ``eps * scale`` of zero
+    counts as zero, ``eps`` defaulting to the rule's own relative tolerance.
+    """
+
+    exact: bool
+    eps: float = DEFAULT_REL_EPS
+
+    def sign(self, value, scale=1.0, eps=None) -> int:
+        """Sign of ``value`` as -1, 0 or +1; tolerant rules return 0 within
+        ``eps * scale``."""
+        if self.exact:
+            return (value > 0) - (value < 0)
+        value = float(value)
+        if abs(value) <= (self.eps if eps is None else eps) * scale:
+            return 0
+        return 1 if value > 0 else -1
+
+
+def _evaluate(D: SquaredDistanceMatrix, subsets):
+    """Bordered determinants over same-size subsets, with their scales.
+
+    Returns ``(dets, scales)`` as lists: ``Fraction`` determinants from one
+    Bareiss elimination per subset on exact data, Python floats from a single
+    batched LAPACK call otherwise.  Each scale is ``M**(|I|-1)`` as in
+    :func:`subset_scale`, with ``M`` the largest entry magnitude over the
+    subset.  Subsets are not validated.
+    """
+    subsets = list(subsets)
+    if not subsets:
+        return [], []
+    size = len(subsets[0])
+    idx = np.asarray(subsets, dtype=np.intp)
+    zf = D.as_array()
+    blocks = np.abs(zf[idx[:, :, None], idx[:, None, :]]).reshape(len(subsets), -1)
+    top = blocks.max(axis=1).tolist() if size else [0.0] * len(subsets)
+    scales = [m ** (size - 1) if m != 0.0 else 1.0 for m in top]
+    if D.exact:
+        return [bareiss_det(bordered_matrix(D.z, I)) for I in subsets], scales
+    return bordered_det_batch(zf, idx).tolist(), scales
+
+
+def _linear_forms(D: SquaredDistanceMatrix, subsets, pairs):
+    """Derivative of each subset's bordered determinant in the entry ``z[pair]``.
+
+    The entry sits symmetrically at two places of the bordered matrix, so the
+    derivative is twice its cofactor: one minor per subset, exact on exact
+    data and batched in floating point otherwise.
+    """
+    minors, signs = [], []
+    for I, (r, s) in zip(subsets, pairs):
+        a, b = I.index(r) + 1, I.index(s) + 1
+        rows = bordered_matrix(D.z, I)
+        minors.append([row[:b] + row[b + 1:] for k, row in enumerate(rows) if k != a])
+        signs.append(2 * (-1) ** (a + b))
+    if not minors:
+        return []
+    if D.exact:
+        dets = [bareiss_det(m) for m in minors]
+    else:
+        dets = np.linalg.det(np.asarray(minors, dtype=float)).tolist()
+    return [sign * det for sign, det in zip(signs, dets)]
 
 
 def menger_check(D: SquaredDistanceMatrix, d: int,
@@ -212,59 +279,37 @@ def menger_check(D: SquaredDistanceMatrix, d: int,
     n = D.n
     if n < d + 1:
         return EmbeddabilityReport(False, "i", None, float(d + 1 - n))
-
-    exact = D.exact
-
-    def _dets(size):
-        subs = list(combinations(range(n), size))
-        if exact:
-            return subs, [cmd(D, I) for I in subs]
-        return subs, bordered_det_batch(D.as_array(), subs)
+    rule = _Rule(D.exact, rel_eps)
 
     # (ii): sizes 1 and 2 reduce to -1 and 2z; only entry signs can fail.
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = D.entry(i, j)
-            if (exact and v < 0) or (not exact and float(v) < -rel_eps * abs(float(v))):
-                return EmbeddabilityReport(False, "ii", (i, j), abs(2.0 * float(v)))
-    for size in range(3, d + 2):
-        subs, dets = _dets(size)
-        for I, det in zip(subs, dets):
-            viol = _legal_sign_violation(det, size)
-            if exact:
-                if viol > 0:
-                    return EmbeddabilityReport(False, "ii", I, float(abs(det)))
-            elif viol > rel_eps * subset_scale(D, I):
+    for i, j in combinations(range(n), 2):
+        v = D.entry(i, j)
+        if v < 0:
+            return EmbeddabilityReport(False, "ii", (i, j), abs(2.0 * float(v)))
+    # The loop ends on the (d+1)-subsets, which (iii) reuses; for d = 1 that
+    # is the pairs, whose sign the entry test above has already settled.
+    for size in range(min(3, d + 1), d + 2):
+        subs = list(combinations(range(n), size))
+        dets, scales = _evaluate(D, subs)
+        for I, det, scale in zip(subs, dets, scales):
+            if rule.sign(_legal_sign_violation(det, size), scale) > 0:
                 return EmbeddabilityReport(False, "ii", I, float(abs(det)))
 
     # (iii): a full-rank (d+1)-subset must exist.
-    subs, dets = _dets(d + 1)
     best = 0.0
-    found = False
-    for I, det in zip(subs, dets):
+    for det, scale in zip(dets, scales):
         margin = (-1) ** (d + 1) * det
-        if exact:
-            if margin > 0:
-                found = True
-                break
-        else:
-            norm = margin / subset_scale(D, I)
-            best = max(best, norm)
-            if norm > rel_eps:
-                found = True
-                break
-    if not found:
-        return EmbeddabilityReport(False, "iii", None, float(best))
+        if rule.sign(margin, scale) > 0:
+            break
+        best = max(best, float(margin) / scale)
+    else:
+        return EmbeddabilityReport(False, "iii", None, best)
 
     # (iv): every (d+2)-subset must be flat.
-    if n >= d + 2:
-        subs, dets = _dets(d + 2)
-        for I, det in zip(subs, dets):
-            if exact:
-                if det != 0:
-                    return EmbeddabilityReport(False, "iv", I, float(abs(det)))
-            elif abs(det) > rel_eps * subset_scale(D, I):
-                return EmbeddabilityReport(False, "iv", I, float(abs(det)))
+    subs = list(combinations(range(n), d + 2))
+    for I, det, scale in zip(subs, *_evaluate(D, subs)):
+        if rule.sign(det, scale) != 0:
+            return EmbeddabilityReport(False, "iv", I, float(abs(det)))
 
     return EmbeddabilityReport(True, "none", None, 0.0)
 
@@ -274,10 +319,10 @@ def quadratic_slice(D: SquaredDistanceMatrix, index_set, pair) -> QuadraticSlice
 
     The selected entry ``z[pair]`` appears (symmetrically) twice in the
     bordered matrix, so the determinant is a quadratic ``U*t**2 + V*t + W`` in
-    its value ``t``.  Coefficients are recovered by evaluating at three
-    abscissae and solving the interpolation system, which is exact for a
-    quadratic; on exact input the result is exact.  ``U`` always equals minus
-    the determinant over ``index_set`` minus the pair.
+    its value ``t``.  The coefficients come in closed form: ``U`` is minus the
+    determinant over ``index_set`` minus the pair, the derivative ``2*U*t + V``
+    at the current entry is twice the entry's cofactor, and ``W`` follows from
+    the determinant itself.  On exact input the result is exact.
     """
     index_set = tuple(index_set)
     r, s = pair
@@ -286,25 +331,17 @@ def quadratic_slice(D: SquaredDistanceMatrix, index_set, pair) -> QuadraticSlice
     if r not in index_set or s not in index_set:
         raise InputError("slice pair must lie inside the index set")
     _check_subset(D, index_set)
+    face = tuple(i for i in index_set if i != r and i != s)
+    (full,), _ = _evaluate(D, [index_set])
+    (face_det,), _ = _evaluate(D, [face])
+    (slope,) = _linear_forms(D, [index_set], [pair])
+    t = D.entry(r, s)
+    U = -face_det
+    V = slope - 2 * U * t
+    return QuadraticSlice(U, V, full - U * t * t - V * t)
 
-    def at(t):
-        z = [list(row) for row in D.z]
-        z[r][s] = z[s][r] = t
-        sub = SquaredDistanceMatrix(z, allow_negative=True)
-        return cmd(sub, index_set)
 
-    if D.exact:
-        f0, f1, f2 = at(Fraction(0)), at(Fraction(1)), at(Fraction(2))
-        U = (f0 - 2 * f1 + f2) / 2
-        V = f1 - f0 - U
-        return QuadraticSlice(U, V, f0)
-    m = D.max_over(index_set)
-    h = m if m > 0 else 1.0
-    ts = (0.0, h, 2.0 * h)
-    vand = np.array([[t * t, t, 1.0] for t in ts])
-    fvals = np.array([at(t) for t in ts])
-    U, V, W = np.linalg.solve(vand, fvals)
-    return QuadraticSlice(float(U), float(V), float(W))
+_SIDES = {1: Side.SAME_SIDE, 0: Side.ON_HYPERPLANE, -1: Side.OPPOSITE_SIDE}
 
 
 def side_classify(D: SquaredDistanceMatrix, index_set, pair, d: int,
@@ -324,34 +361,17 @@ def side_classify(D: SquaredDistanceMatrix, index_set, pair, d: int,
     delta = tuple(i for i in index_set if i != r and i != s)
     if len(delta) != d:
         raise InputError("slice pair must be two distinct members of the subset")
+    _check_subset(D, index_set)
 
-    exact = D.exact
-    full = cmd(D, index_set)
-    if exact:
-        if full != 0:
-            raise PreconditionError(
-                f"subset determinant must vanish, got {full}")
-    elif abs(full) > rel_eps * subset_scale(D, index_set):
+    rule = _Rule(D.exact, rel_eps)
+    (full,), (full_scale,) = _evaluate(D, [index_set])
+    if rule.sign(full, full_scale) != 0:
         raise PreconditionError(
             f"subset determinant must vanish, got {full}")
-    face = cmd(D, delta)
-    if exact:
-        if face == 0:
-            raise PreconditionError("facet is degenerate (zero determinant)")
-    elif abs(face) <= rel_eps * subset_scale(D, delta):
+    (face,), (face_scale,) = _evaluate(D, [delta])
+    if rule.sign(face, face_scale) == 0:
         raise PreconditionError("facet is degenerate (zero determinant)")
 
-    sl = quadratic_slice(D, index_set, pair)
-    L = sl.linear_form(D.entry(r, s))
-    signed = (-1) ** d * L
-    if exact:
-        if signed > 0:
-            return Side.SAME_SIDE
-        if signed < 0:
-            return Side.OPPOSITE_SIDE
-        return Side.ON_HYPERPLANE
+    (slope,) = _linear_forms(D, [index_set], [pair])
     m = D.max_over(index_set)
-    scale_l = m**d if m > 0 else 1.0
-    if abs(L) <= rel_eps * scale_l:
-        return Side.ON_HYPERPLANE
-    return Side.SAME_SIDE if signed > 0 else Side.OPPOSITE_SIDE
+    return _SIDES[rule.sign((-1) ** d * slope, m**d if m > 0 else 1.0)]

@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .cmdet import (
     DEFAULT_REL_EPS,
@@ -166,6 +165,8 @@ def embed(D: SquaredDistanceMatrix, d: int,
         coords[pa] = chol[a]
     non_pivots = [j for j in range(n) if j not in pivots]
     if non_pivots:
+        from scipy.linalg import solve_triangular
+
         rhs = np.empty((d, len(non_pivots)))
         for col, j in enumerate(non_pivots):
             for a, pa in enumerate(others):

@@ -156,8 +156,7 @@ def affine_from_simplex(src, dst) -> AffineMap:
 
     E = np.array(src[1:], dtype=float).T - np.array(src[0], dtype=float).reshape(-1, 1)
     F = np.array(dst[1:], dtype=float).T - np.array(dst[0], dtype=float).reshape(-1, 1)
-    scale = max(np.abs(E).max(), 1.0)
-    if abs(np.linalg.det(E)) <= 1e-12 * scale ** d:
+    if abs(np.linalg.det(E)) <= 1e-12 * np.abs(E).max() ** d:
         raise InputError("source simplex is degenerate")
     B = F @ np.linalg.inv(E)
     shift = np.array(dst[0], dtype=float) - B @ np.array(src[0], dtype=float)
@@ -209,7 +208,7 @@ def verify_problem1(inst: Instance, p: Configuration, p_prime: Configuration,
     if p.n >= inst.d + 1:
         for subset in combinations(range(p.n), inst.d + 1):
             value = cmd(D, subset)
-            if abs(float(value)) > 1e-12 * max(1.0, D.max_over(subset)) ** inst.d:
+            if abs(float(value)) > 1e-12 * D.max_over(subset) ** inst.d:
                 full_hull = True
                 break
 

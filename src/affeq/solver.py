@@ -20,9 +20,8 @@ from fractions import Fraction
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import least_squares
 
-from .cmdet import SquaredDistanceMatrix, cmd, subset_scale
+from .cmdet import SquaredDistanceMatrix, _evaluate, _Rule
 from .embedding import Configuration, distances_of
 from .errors import (
     AffeqError,
@@ -156,6 +155,14 @@ class Verdict:
         }
 
 
+def least_squares(*args, **kwargs):
+    """``scipy.optimize.least_squares``, imported on first use so that
+    importing the package does not load scipy."""
+    from scipy.optimize import least_squares as solve_least_squares
+
+    return solve_least_squares(*args, **kwargs)
+
+
 def _fragment(entry: ConditionEntry) -> ConditionReport:
     return ConditionReport(entries=(entry,), base_simplex=None)
 
@@ -257,7 +264,7 @@ def numeric_search(inst: Instance, budget: Optional[SearchBudget] = None,
     if k == 0 and fixed_left is None:
         cert = _spread_certificate(inst)
         diag["best_residual"] = 0.0
-        return (cert if _verified(inst, cert, tol, "auto") else None), diag
+        return (cert if _verified(inst, cert, tol) else None), diag
 
     lam = np.asarray([float(v) for v in inst.lam])
     lamp = np.asarray([float(v) for v in inst.lam_prime])
@@ -345,7 +352,7 @@ def numeric_search(inst: Instance, budget: Optional[SearchBudget] = None,
         if np.linalg.matrix_rank(p_orig - p_orig[0]) < d:
             continue
         cert = _certificate_from_arrays(inst, p_orig, B_orig, b_orig)
-        if _verified(inst, cert, tol, "auto"):
+        if _verified(inst, cert, tol):
             return cert, diag
     return None, diag
 
@@ -413,14 +420,11 @@ def random_instance(seed: int, n: int, d: int, edge_density: float = 0.5):
 # -- sound NO tests ---------------------------------------------------------
 
 
-def _clique_matrix(subset, table) -> SquaredDistanceMatrix:
-    size = len(subset)
-    rows = [[Fraction(0)] * size for _ in range(size)]
-    for a in range(size):
-        for b in range(a + 1, size):
-            v = table[(subset[a], subset[b])]
-            rows[a][b] = rows[b][a] = v
-    return SquaredDistanceMatrix(rows)
+def _pinned_squares(inst: Instance):
+    """Both sides' prescribed squared lengths, exact on rational input."""
+    num = to_fraction if inst.exact else float
+    return tuple({e: num(v) ** 2 for e, v in zip(inst.edges, lengths)}
+                 for lengths in (inst.lam, inst.lam_prime))
 
 
 def _pinned_scan(inst: Instance, tol: Tolerances) -> Optional[InfeasibilityWitness]:
@@ -432,9 +436,9 @@ def _pinned_scan(inst: Instance, tol: Tolerances) -> Optional[InfeasibilityWitne
     eset = inst.edge_set
     if not eset:
         return None
-    exact = inst.exact
-    lam2 = {e: to_fraction(v) ** 2 for e, v in zip(inst.edges, inst.lam)}
-    lamp2 = {e: to_fraction(v) ** 2 for e, v in zip(inst.edges, inst.lam_prime)}
+    rule = _Rule(inst.exact, tol.rel_eps)
+    sides = [(name, SquaredDistanceMatrix.from_pairs(n, table))
+             for name, table in zip(("z", "z_prime"), _pinned_squares(inst))]
     sizes = set(range(3, min(d + 2, n) + 1))
     if 2 <= d + 1 <= n:
         sizes.add(d + 1)
@@ -442,34 +446,28 @@ def _pinned_scan(inst: Instance, tol: Tolerances) -> Optional[InfeasibilityWitne
     for size in sorted(sizes):
         if math.comb(n, size) > _CLIQUE_SCAN_CAP:
             continue
-        for subset in itertools.combinations(range(n), size):
-            if any(pr not in eset for pr in itertools.combinations(subset, 2)):
-                continue
-            zsub = _clique_matrix(subset, lam2)
-            zpsub = _clique_matrix(subset, lamp2)
-            idx = range(size)
-            pair = ((cmd(zsub, idx), subset_scale(zsub, idx), "z"),
-                    (cmd(zpsub, idx), subset_scale(zpsub, idx), "z_prime"))
-            if 3 <= size <= d + 1:
-                for value, scale, name in pair:
-                    signed = value if size % 2 == 0 else -value
-                    if (signed < 0) if exact else (float(signed) / scale < -tol.rel_eps):
-                        entry = ConditionEntry(
-                            "8", False, {"matrix": name, "subset": list(subset)},
-                            residual=abs(value),
-                            note="fully pinned subset violates the sign rule")
-                        return InfeasibilityWitness("pinned-subsystem", _fragment(entry))
-            if size == d + 2:
-                for value, scale, name in pair:
-                    if (value != 0) if exact else (abs(float(value)) / scale > tol.rel_eps):
-                        entry = ConditionEntry(
-                            "10", False, {"matrix": name, "subset": list(subset)},
-                            residual=abs(value),
-                            note="fully pinned subset of d+2 vertices is not flat")
-                        return InfeasibilityWitness("pinned-subsystem", _fragment(entry))
+        cliques = [subset for subset in itertools.combinations(range(n), size)
+                   if all(pr in eset for pr in itertools.combinations(subset, 2))]
+        evaluated = [(name, *_evaluate(z, cliques)) for name, z in sides]
+        for k, subset in enumerate(cliques):
+            for name, dets, scales in evaluated:
+                value, scale = dets[k], scales[k]
+                if 3 <= size <= d + 1 and rule.sign((-1) ** size * value, scale) < 0:
+                    entry = ConditionEntry(
+                        "8", False, {"matrix": name, "subset": list(subset)},
+                        residual=abs(value),
+                        note="fully pinned subset violates the sign rule")
+                    return InfeasibilityWitness("pinned-subsystem", _fragment(entry))
+                if size == d + 2 and rule.sign(value, scale) != 0:
+                    entry = ConditionEntry(
+                        "10", False, {"matrix": name, "subset": list(subset)},
+                        residual=abs(value),
+                        note="fully pinned subset of d+2 vertices is not flat")
+                    return InfeasibilityWitness("pinned-subsystem", _fragment(entry))
             if size == d + 1:
-                ratio_data.append((subset, pair[0][0], pair[1][0], pair[0][1], pair[1][1]))
-    return _ratio_consistency(ratio_data, exact, tol)
+                (_, u, su), (_, v, sv) = evaluated
+                ratio_data.append((subset, u[k], v[k], su[k], sv[k]))
+    return _ratio_consistency(ratio_data, inst.exact, tol)
 
 
 def _ratio_consistency(ratio_data, exact, tol) -> Optional[InfeasibilityWitness]:
@@ -527,22 +525,15 @@ def _complete_decision(inst: Instance, tol: Tolerances) -> Optional[Verdict]:
     Exact lengths stay exact end to end; float lengths stay float so the
     downstream embedding applies tolerance rather than exact flatness tests.
     """
-    exact = inst.exact
-    if exact:
-        lam2 = {e: to_fraction(v) ** 2 for e, v in zip(inst.edges, inst.lam)}
-        lamp2 = {e: to_fraction(v) ** 2 for e, v in zip(inst.edges, inst.lam_prime)}
-    else:
-        lam2 = {e: float(v) ** 2 for e, v in zip(inst.edges, inst.lam)}
-        lamp2 = {e: float(v) ** 2 for e, v in zip(inst.edges, inst.lam_prime)}
+    lam2, lamp2 = _pinned_squares(inst)
     z = SquaredDistanceMatrix.from_pairs(inst.n, lam2)
     z_prime = SquaredDistanceMatrix.from_pairs(inst.n, lamp2)
-    decisions = "auto" if exact else "tolerant"
-    alpha = Fraction(1) if exact else 1.0  # placeholder if no ratio is estimable
+    alpha = Fraction(1) if inst.exact else 1.0  # placeholder if no ratio is estimable
     try:
-        base = find_base_simplex(z, inst.d, rel_eps=tol.rel_eps, strict=exact)
+        base = find_base_simplex(z, inst.d, rel_eps=tol.rel_eps)
         alpha = estimate_alpha(z, z_prime, base, rel_eps=tol.rel_eps)
     except NoBaseSimplexError:
-        if exact:
+        if inst.exact:
             entry = ConditionEntry(
                 "9", False, None, 0,
                 note="every subset of d+1 vertices is degenerate under the pinned lengths")
@@ -553,12 +544,12 @@ def _complete_decision(inst: Instance, tol: Tolerances) -> Optional[Verdict]:
     except RatioSignError:
         pass  # the checker localizes the sign or vanishing defect
     assignment = Assignment(z, z_prime, alpha)
-    report = check_assignment(inst, assignment, tol, decisions=decisions)
+    report = check_assignment(inst, assignment, tol)
     if not report.passed:
         return Verdict(NO, witness=InfeasibilityWitness("complete-pinned", report),
                        diagnostics={"stage": "complete"})
     try:
-        p, p_prime, amap = reconstruct(inst, assignment, tol, decisions=decisions)
+        p, p_prime, amap = reconstruct(inst, assignment, tol)
     except (EmbeddabilityError, ReconstructionError, PreconditionError, NoBaseSimplexError):
         return None
     cert = Certificate(assignment, p, p_prime, amap)
@@ -573,15 +564,10 @@ def _validate_fixed_left(inst: Instance, config: Configuration, tol: Tolerances)
     if config.dim != inst.d or config.n != inst.n:
         raise InputError("fixed framework shape disagrees with the instance")
     z = distances_of(config)
-    exact = inst.exact and config.exact
+    rule = _Rule(inst.exact and config.exact, tol.rel_eps)
     for e, lam in zip(inst.edges, inst.lam):
-        have = z.entry(*e)
-        want = to_fraction(lam) ** 2 if exact else float(lam) ** 2
-        if exact:
-            bad = have != want
-        else:
-            bad = abs(float(have) - want) > tol.rel_eps * max(abs(float(have)), want)
-        if bad:
+        have, want = z.entry(*e), lam * lam
+        if rule.sign(have - want, max(abs(float(have)), float(want))) != 0:
             raise InputError(
                 f"fixed framework violates the pinned length on edge {e}")
 
@@ -615,7 +601,7 @@ def _line_decision(inst: Instance, tol: Tolerances) -> Optional[Verdict]:
     enumerate or the defect lands in the undecidable gray band.
     """
     n = inst.n
-    exact = inst.exact
+    rule = _Rule(inst.exact)
     lam = {e: to_fraction(v) for e, v in zip(inst.edges, inst.lam)}
     lam_prime = {e: to_fraction(v) for e, v in zip(inst.edges, inst.lam_prime)}
     scale = max((float(v) for v in lam.values()), default=1.0)
@@ -659,12 +645,11 @@ def _line_decision(inst: Instance, tol: Tolerances) -> Optional[Verdict]:
             wf = float(worst)
             if best is None or wf < best[0]:
                 best = (wf, x, worst_edge)
-            if wf == 0.0 or (not exact and wf <= _LINE_ACCEPT * scale):
+            if rule.sign(wf, scale, _LINE_ACCEPT) == 0:
                 break
         defect, x, worst_edge = best
-        good = defect == 0.0 if exact else defect <= _LINE_ACCEPT * scale
-        if not good:
-            if exact or defect > _LINE_REJECT * scale:
+        if rule.sign(defect, scale, _LINE_ACCEPT) != 0:
+            if rule.sign(defect, scale, _LINE_REJECT) != 0:
                 entry = ConditionEntry(
                     "10", False,
                     {"matrix": "z", "component": sorted(comp),
@@ -680,17 +665,15 @@ def _line_decision(inst: Instance, tol: Tolerances) -> Optional[Verdict]:
     if inst.edges:
         ref = max(range(len(inst.edges)), key=lambda t: float(inst.lam[t]))
         s = lam_prime[inst.edges[ref]] / lam[inst.edges[ref]]
-        if not exact:
-            ratios = [(float(lam_prime[e]) / float(lam[e])) ** 2 for e in inst.edges]
-            if max(ratios) - min(ratios) > 0.05 * tol.rel_eps * max(ratios):
-                return None  # ratio drift too close to the checker's limits
+        ratios = [(lam_prime[e] / lam[e]) ** 2 for e in inst.edges]
+        if rule.sign(max(ratios) - min(ratios), max(ratios), 0.05 * tol.rel_eps) != 0:
+            return None  # ratio drift too close to the checker's limits
     else:
         s = Fraction(1)
         positions = [Fraction(i) for i in range(n)]
 
     cert = _line_certificate(inst, positions, s)
-    decisions = "auto" if exact else "tolerant"
-    if not _verified(inst, cert, tol, decisions):
+    if not _verified(inst, cert, tol):
         raise InternalInconsistencyError(
             "line placement found but its certificate failed verification")
     return Verdict(YES, certificate=cert, diagnostics={"stage": "line-oracle"})
@@ -749,10 +732,9 @@ def _certificate_from_arrays(inst: Instance, p_arr, B, b) -> Certificate:
                        p, p_prime, amap)
 
 
-def _verified(inst: Instance, cert: Certificate, tol: Tolerances,
-              decisions: str) -> bool:
+def _verified(inst: Instance, cert: Certificate, tol: Tolerances) -> bool:
     try:
-        report = check_assignment(inst, cert.assignment, tol, decisions=decisions)
+        report = check_assignment(inst, cert.assignment, tol)
         if not report.passed:
             return False
         return verify_problem1(inst, cert.p, cert.p_prime, cert.amap).passed

@@ -20,6 +20,12 @@ package:
 
 Checking never raises on a failing condition; failures are reported with a
 worst witness and a residual in the units of the original instance.
+
+Arithmetic follows the package rule (see :mod:`affeq.cmdet`): values are
+evaluated in the data's own type, and each side is decided exactly only when
+the policy is ``"auto"``, that side's assignment is rational and the
+instance's lengths are rational; otherwise every test follows
+:class:`Tolerances`.
 """
 
 from dataclasses import dataclass, field
@@ -27,7 +33,14 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
-from .cmdet import SquaredDistanceMatrix, cmd, quadratic_slice, subset_scale
+from .cmdet import (
+    SquaredDistanceMatrix,
+    _evaluate,
+    _linear_forms,
+    _Rule,
+    cmd,
+    subset_scale,
+)
 from .errors import InputError, NoBaseSimplexError, PreconditionError, RatioSignError
 from .linalg import is_exact_value
 
@@ -145,7 +158,9 @@ class Tolerances:
     ``alpha_rel`` bounds the relative deviation between per-subset ratios
     and the assignment's alpha; ``vanish_cutoff`` is the normalized size
     below which a determinant is treated as vanishing when deciding whether
-    a ratio or side test is applicable.  Exact inputs ignore all three.
+    a ratio or side test is applicable.  A side decided exactly (rational
+    assignment, rational lengths, ``decisions="auto"``) ignores all three;
+    every other side, rational or not, follows them.
     """
 
     rel_eps: float = 1e-9
@@ -230,19 +245,23 @@ def find_base_simplex(z: SquaredDistanceMatrix, d: int, rel_eps: float = 1e-9,
 
     ``strict`` controls the nonvanishing test: exact comparison against zero
     when true, ``rel_eps`` times the subset magnitude when false.  The
-    default follows the exactness of ``z``.
+    default follows the exactness of ``z``, and inexact data is never
+    compared exactly.
     """
-    if strict is None:
-        strict = z.exact
+    rule = _Rule(bool(z.exact and (strict is None or strict)), rel_eps)
+    subsets = list(combinations(range(z.n), d + 1))
+    return _pick_base(z, d, rule, subsets, *_evaluate(z, subsets))
+
+
+def _pick_base(z, d, rule, subsets, dets, scales):
+    """Base simplex from the evaluated (d+1)-subsets; see find_base_simplex."""
     if z.n < d + 1:
         raise NoBaseSimplexError(f"need at least {d + 1} vertices, have {z.n}")
-    candidates = []
-    for subset in combinations(range(z.n), d + 1):
-        value = cmd(z, subset)
-        margin = abs(float(value)) / subset_scale(z, subset)
-        ok = value != 0 if strict and z.exact else margin > rel_eps
-        if ok:
-            candidates.append((subset, margin))
+    candidates = [
+        (subset, abs(float(value)) / scale)
+        for subset, value, scale in zip(subsets, dets, scales)
+        if rule.sign(value, scale) != 0
+    ]
     if not candidates:
         raise NoBaseSimplexError(
             f"every {d + 1}-subset has a vanishing determinant"
@@ -256,17 +275,12 @@ def find_base_simplex(z: SquaredDistanceMatrix, d: int, rel_eps: float = 1e-9,
 
 def estimate_alpha(z, z_prime, base, rel_eps: float = 1e-9):
     """Determinant ratio of the primed to the unprimed side over a base."""
+    rule = _Rule(z.exact and z_prime.exact, rel_eps)
     u = cmd(z, base)
     v = cmd(z_prime, base)
-    if z.exact and z_prime.exact:
-        if u == 0:
-            raise PreconditionError("base simplex determinant vanishes")
-        ratio = Fraction(v) / Fraction(u)
-    else:
-        uf, vf = float(u), float(v)
-        if abs(uf) <= rel_eps * subset_scale(z, base):
-            raise PreconditionError("base simplex determinant vanishes")
-        ratio = vf / uf
+    if rule.sign(u, subset_scale(z, base)) == 0:
+        raise PreconditionError("base simplex determinant vanishes")
+    ratio = v / u
     if not ratio > 0:
         raise RatioSignError(
             f"determinant ratio over base {tuple(base)} is {ratio}, not positive"
@@ -384,10 +398,11 @@ def check_assignment(inst: Instance, a: Assignment, tol: Tolerances = Tolerances
     the units of the original input.
 
     ``decisions`` selects the comparison policy.  Under ``"auto"`` a side
-    whose inputs are all rational is decided exactly and anything else
-    follows ``tol``.  Under ``"tolerant"`` every comparison follows ``tol``
-    even on rational data; evaluation stays exact, so a reported violation
-    on rational data is a rigorous fact about the instance, not roundoff.
+    is decided exactly when its assignment and the instance's lengths are
+    all rational, and anything else follows ``tol``.  Under ``"tolerant"``
+    every comparison follows ``tol`` even on rational data; evaluation stays
+    exact, so a reported violation on rational data is a rigorous fact about
+    the instance, not roundoff.
     """
     if a.z.n != inst.n:
         raise InputError(
@@ -396,29 +411,30 @@ def check_assignment(inst: Instance, a: Assignment, tol: Tolerances = Tolerances
     if decisions not in ("auto", "tolerant"):
         raise InputError("decisions must be 'auto' or 'tolerant'")
     strict = decisions == "auto"
-    d = inst.d
+    n, d = inst.n, inst.d
     desc = build_system(inst)
-    lam_sq = inst.lam_sq()
-    lam_prime_sq = inst.lam_prime_sq()
+    by_size = {d + 1: desc.simplex_subsets, d + 2: desc.vanish_subsets}
+    for size in range(3, d + 1):
+        by_size[size] = [s for s in desc.sign_subsets if len(s) == size]
 
-    cz = max(lam_sq.values(), default=1)
-    czp = max(lam_prime_sq.values(), default=1)
-    zs = a.z.scaled(_inverse(cz, a.z.exact))
-    zps = a.z_prime.scaled(_inverse(czp, a.z_prime.exact))
-    sides = (("z", a.z, zs, cz, lam_sq), ("z_prime", a.z_prime, zps, czp, lam_prime_sq))
+    sides = []
+    for name, orig, pins in (("z", a.z, inst.lam_sq()),
+                             ("z_prime", a.z_prime, inst.lam_prime_sq())):
+        c = max(pins.values(), default=1)
+        scaled = orig.scaled(_inverse(c, orig.exact))
+        rule = _Rule(strict and inst.exact and orig.exact, tol.rel_eps)
+        dets = {size: _evaluate(scaled, subsets) for size, subsets in by_size.items()}
+        sides.append((name, orig, scaled, c, pins, rule, dets))
+    (_, _, zs, cz, _, rule_z, dets_z), (_, _, zps, czp, _, rule_zp, dets_zp) = sides
 
     entries = []
 
     fam6 = _Family("6")
-    for name, orig, scaled, c, _ in sides:
-        m = max(1.0, scaled.max_over(range(inst.n)))
-        for i, j in combinations(range(inst.n), 2):
+    for name, orig, scaled, c, _, rule, _ in sides:
+        m = max(1.0, scaled.max_over(range(n)))
+        for i, j in combinations(range(n), 2):
             value = scaled.entry(i, j)
-            if strict and scaled.exact:
-                bad = value < 0
-            else:
-                bad = float(value) < -tol.rel_eps * m
-            if bad:
+            if rule.sign(value, m) < 0:
                 fam6.fail(
                     -float(value) / m,
                     {"matrix": name, "pair": [i, j]},
@@ -427,16 +443,12 @@ def check_assignment(inst: Instance, a: Assignment, tol: Tolerances = Tolerances
     entries.append(fam6.entry())
 
     fam7 = _Family("7")
-    for name, orig, scaled, c, pins in sides:
+    for name, orig, scaled, c, pins, rule, _ in sides:
         for (i, j), want in pins.items():
             got = orig.entry(i, j)
             diff = got - want
             scale = max(float(want), abs(float(got)))
-            if strict and scaled.exact and is_exact_value(want):
-                bad = diff != 0
-            else:
-                bad = abs(float(diff)) > tol.rel_eps * scale
-            if bad:
+            if rule.sign(diff, scale) != 0:
                 fam7.fail(
                     abs(float(diff)) / scale,
                     {"matrix": name, "edge": [i, j]},
@@ -445,45 +457,32 @@ def check_assignment(inst: Instance, a: Assignment, tol: Tolerances = Tolerances
     entries.append(fam7.entry())
 
     fam8 = _Family("8")
-    for name, orig, scaled, c, _ in sides:
-        for subset in desc.sign_subsets:
-            value = (-1) ** len(subset) * cmd(scaled, subset)
-            scale = subset_scale(scaled, subset)
-            if strict and scaled.exact:
-                bad = value < 0
-            else:
-                bad = float(value) < -tol.rel_eps * scale
-            if bad:
-                fam8.fail(
-                    -float(value) / scale,
-                    {"matrix": name, "subset": list(subset)},
-                    abs(value) * c ** (len(subset) - 1),
-                )
+    for name, orig, scaled, c, _, rule, dets in sides:
+        for size in range(3, d + 2):
+            for subset, det, scale in zip(by_size[size], *dets[size]):
+                value = (-1) ** size * det
+                if rule.sign(value, scale) < 0:
+                    fam8.fail(
+                        -float(value) / scale,
+                        {"matrix": name, "subset": list(subset)},
+                        abs(value) * c ** (size - 1),
+                    )
     entries.append(fam8.entry())
 
     fam9 = _Family("9")
     base = None
     try:
-        base = find_base_simplex(zs, d, tol.rel_eps, strict=strict and zs.exact)
+        base = _pick_base(zs, d, rule_z, desc.simplex_subsets, *dets_z[d + 1])
     except NoBaseSimplexError as exc:
-        best = max(
-            (abs(cmd(zs, s)) * cz ** d for s in desc.simplex_subsets),
-            default=0,
-        )
+        best = max((abs(value) * cz ** d for value in dets_z[d + 1][0]), default=0)
         fam9.note = str(exc)
         fam9.fail(float("inf"), None, best)
     entries.append(fam9.entry())
 
     fam10 = _Family("10")
-    for name, orig, scaled, c, _ in sides:
-        for subset in desc.vanish_subsets:
-            value = cmd(scaled, subset)
-            scale = subset_scale(scaled, subset)
-            if strict and scaled.exact:
-                bad = value != 0
-            else:
-                bad = abs(float(value)) > tol.rel_eps * scale
-            if bad:
+    for name, orig, scaled, c, _, rule, dets in sides:
+        for subset, value, scale in zip(desc.vanish_subsets, *dets[d + 2]):
+            if rule.sign(value, scale) != 0:
                 fam10.fail(
                     abs(float(value)) / scale,
                     {"matrix": name, "subset": list(subset)},
@@ -497,96 +496,66 @@ def check_assignment(inst: Instance, a: Assignment, tol: Tolerances = Tolerances
         fam11.note = "not evaluated: no base simplex"
         fam12.note = "not evaluated: no base simplex"
     else:
-        exact_pair = zs.exact and zps.exact
-        strict_pair = strict and exact_pair
-        alpha_exact = exact_pair and is_exact_value(a.alpha) and is_exact_value(cz) \
-            and is_exact_value(czp)
+        # Tests that combine both sides are exact only when both sides are,
+        # and the ratio test also needs a rational alpha.
+        pair_rule = _Rule(rule_z.exact and rule_zp.exact, tol.rel_eps)
+        ratio_rule = _Rule(pair_rule.exact and is_exact_value(a.alpha))
         unit_ratio = _ratio_unit(czp, cz, d)
-        if alpha_exact:
-            alpha_scaled = Fraction(a.alpha) / unit_ratio
-        else:
-            alpha_scaled = float(a.alpha) / float(unit_ratio)
-        for subset in desc.simplex_subsets:
-            u = cmd(zs, subset)
-            v = cmd(zps, subset)
+        alpha_scaled = a.alpha / unit_ratio
+        af = float(alpha_scaled)
+        for subset, u, su, v, sv in zip(desc.simplex_subsets, *dets_z[d + 1],
+                                         *dets_zp[d + 1]):
             # The ratio condition is checked in equation form v = alpha*u,
             # which needs no case split for vanishing determinants: a pair
             # of degenerate simplices satisfies it with residual zero, and
             # a determinant vanishing on one side only leaves the whole
             # other determinant as the residual.
-            if strict_pair and alpha_exact:
-                lin = v - alpha_scaled * u
-                bad = lin != 0
-                denom = max(abs(float(v)), abs(float(alpha_scaled) * float(u)), 1e-300)
-                magnitude = abs(float(lin)) / denom
+            lin = v - alpha_scaled * u
+            big = max(abs(float(v)), abs(af * float(u)))
+            floor = tol.vanish_cutoff * (sv + af * su)
+            if ratio_rule.sign(lin, tol.alpha_rel * big + floor, 1.0) == 0:
+                continue
+            if pair_rule.sign(u, su, tol.vanish_cutoff) != 0:
+                ratio_orig = v / u * unit_ratio
+                witness = {
+                    "subset": list(subset),
+                    "ratio": ratio_orig,
+                    "expected_alpha": a.alpha,
+                }
+                residual = abs(ratio_orig - a.alpha)
             else:
-                uf, vf = float(u), float(v)
-                af = float(alpha_scaled)
-                lin = vf - af * uf
-                floor = tol.vanish_cutoff * (
-                    subset_scale(zps, subset) + af * subset_scale(zs, subset)
-                )
-                denom = max(abs(vf), abs(af * uf), floor)
-                bad = abs(lin) > tol.alpha_rel * max(abs(vf), abs(af * uf)) + floor
-                magnitude = abs(lin) / denom
-            if bad:
-                u_usable = (
-                    u != 0
-                    if strict_pair
-                    else abs(float(u)) > tol.vanish_cutoff * subset_scale(zs, subset)
-                )
-                if u_usable:
-                    ratio = Fraction(v) / Fraction(u) if exact_pair else float(v) / float(u)
-                    ratio_orig = ratio * unit_ratio
-                    witness = {
-                        "subset": list(subset),
-                        "ratio": ratio_orig,
-                        "expected_alpha": a.alpha,
-                    }
-                    residual = abs(ratio_orig - a.alpha)
-                else:
-                    witness = {
-                        "subset": list(subset),
-                        "note": "determinant vanishes on one side only",
-                    }
-                    residual = abs(v) * czp ** d
-                fam11.fail(magnitude, witness, residual)
+                witness = {
+                    "subset": list(subset),
+                    "note": "determinant vanishes on one side only",
+                }
+                residual = abs(v) * czp ** d
+            fam11.fail(abs(float(lin)) / max(big, floor), witness, residual)
 
+        # A slice's U = -cmd(face) depends only on the base face the check
+        # leaves out, not on the outside vertex.
+        faces = [tuple(i for i in base if i != i_r) for i_r in base]
+        face_dets = _evaluate(zs, faces)[0], _evaluate(zps, faces)[0]
+        checks = desc.side_checks(base)
+        subsets = [subset for _, _, subset, _ in checks]
+        pairs = [pair for _, _, _, pair in checks]
+        lo = tol.rel_eps
+        hi = max(tol.vanish_cutoff, 1e3 * tol.rel_eps)
         skipped = 0
-        for j, r, subset, pair in desc.side_checks(base):
+        for (j, r, subset, pair), ln, lnp in zip(
+                checks, _linear_forms(zs, subsets, pairs), _linear_forms(zps, subsets, pairs)):
             face_scale = max(zs.max_over(subset), zps.max_over(subset), 1.0) ** (d - 1)
-            sl = quadratic_slice(zs, subset, pair)
-            slp = quadratic_slice(zps, subset, pair)
-            if strict_pair:
-                degenerate = sl.U == 0 or slp.U == 0
-            else:
-                degenerate = (
-                    abs(float(sl.U)) <= tol.vanish_cutoff * face_scale
-                    or abs(float(slp.U)) <= tol.vanish_cutoff * face_scale
-                )
-            if degenerate:
+            if any(pair_rule.sign(f[r], face_scale, tol.vanish_cutoff) == 0 for f in face_dets):
                 skipped += 1
                 continue
-            ln = sl.linear_form(zs.entry(*pair))
-            lnp = slp.linear_form(zps.entry(*pair))
             scale_l = max(zs.max_over(subset), 1.0) ** d
             scale_lp = max(zps.max_over(subset), 1.0) ** d
-            if strict_pair:
-                ok = (ln == 0 and lnp == 0) or (
-                    ln != 0 and lnp != 0 and (ln > 0) == (lnp > 0)
-                )
-            else:
-                # only decisive margins refute: a flipped sign with both
-                # magnitudes clearly nonzero, or clearly on the hyperplane
-                # on one side while clearly off it on the other
-                mag = abs(float(ln)) / scale_l
-                magp = abs(float(lnp)) / scale_lp
-                lo = tol.rel_eps
-                hi = max(tol.vanish_cutoff, 1e3 * tol.rel_eps)
-                flipped = (ln > 0) != (lnp > 0) and mag > hi and magp > hi
-                one_sided = (mag < lo and magp > hi) or (magp < lo and mag > hi)
-                ok = not (flipped or one_sided)
-            if not ok:
+            # A side's sign is settled when the value is clearly zero (within
+            # lo) or clearly nonzero (beyond hi); a value in between could be
+            # either.  Only two settled, different signs refute.  On exact
+            # data every sign is settled, so this is plain sign equality.
+            s_lo, s_hi = (pair_rule.sign(ln, scale_l, eps) for eps in (lo, hi))
+            p_lo, p_hi = (pair_rule.sign(lnp, scale_lp, eps) for eps in (lo, hi))
+            if s_lo == s_hi and p_lo == p_hi and s_hi != p_hi:
                 fam12.fail(
                     abs(float(ln)) / scale_l + abs(float(lnp)) / scale_lp,
                     {

@@ -235,6 +235,18 @@ class TestQuadraticSlice:
             znew = [list(row) for row in z]
             znew[r][s] = znew[s][r] = t
             assert sl.evaluate(t) == cmd(SquaredDistanceMatrix(znew), I)
+        # proper subsets of a larger matrix, the pair anywhere inside them
+        for _ in range(40):
+            n = int(rng.integers(4, 8))
+            z = random_rational_sdm_rows(rng, n)
+            D = SquaredDistanceMatrix(z)
+            I = tuple(sorted(rng.choice(n, size=int(rng.integers(2, n)), replace=False).tolist()))
+            r, s = sorted(rng.choice(I, size=2, replace=False).tolist())
+            sl = quadratic_slice(D, I, (r, s))
+            t = random_rational_sdm_rows(rng, 2)[0][1]
+            znew = [list(row) for row in z]
+            znew[r][s] = znew[s][r] = t
+            assert sl.evaluate(t) == cmd(SquaredDistanceMatrix(znew), I)
 
     def test_interpolation_matches_cmd_random_float(self):
         rng = np.random.default_rng(15)
@@ -245,6 +257,21 @@ class TestQuadraticSlice:
             D = SquaredDistanceMatrix(z)
             I = tuple(range(n))
             r, s = sorted(rng.choice(n, size=2, replace=False).tolist())
+            sl = quadratic_slice(D, I, (r, s))
+            t = float(rng.uniform(0.0, 10.0))
+            znew = [list(row) for row in z]
+            znew[r][s] = znew[s][r] = t
+            direct = cmd(SquaredDistanceMatrix(znew), I)
+            scale = subset_scale(D, I)
+            assert abs(sl.evaluate(t) - direct) <= 1e-10 * max(scale, abs(direct))
+        # proper subsets of a larger matrix, the pair anywhere inside them
+        for _ in range(40):
+            n = int(rng.integers(4, 8))
+            pts = rng.normal(size=(n, 3)) * 3.0
+            z = squared_distance_rows([tuple(p) for p in pts])
+            D = SquaredDistanceMatrix(z)
+            I = tuple(sorted(rng.choice(n, size=int(rng.integers(3, n)), replace=False).tolist()))
+            r, s = sorted(rng.choice(I, size=2, replace=False).tolist())
             sl = quadratic_slice(D, I, (r, s))
             t = float(rng.uniform(0.0, 10.0))
             znew = [list(row) for row in z]

@@ -1,5 +1,10 @@
+import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,6 +127,16 @@ class TestSolveComplete:
         assert v.kind == NO
         assert v.witness.report.first_failure().key == "9"
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_complete_instance_scaled_down_yes(self, d):
+        inst, _ = random_instance(0, 10, d, 1.0)
+        small = Instance(inst.n, d, inst.edges, tuple(v * 1e-4 for v in inst.lam),
+                         tuple(v * 1e-4 for v in inst.lam_prime))
+        v = solve(small)
+        assert v.kind == YES
+        assert v.diagnostics["stage"] == "complete"
+        assert certificate_is_valid(small, v.certificate)
+
     def test_complete_float_planted_yes(self):
         inst, planted = random_instance(9, 5, 2, 1.0)
         v = solve(inst)
@@ -197,6 +212,17 @@ class TestPinnedScan:
         failure = v.witness.report.first_failure()
         assert failure.key == "10"
         assert failure.witness["subset"] == [0, 1, 2]
+        # Float lengths: a regular tetrahedron pinned in the plane, with a
+        # pendant edge keeping the graph incomplete.
+        lengths = {pair: (1.0, 1.0) for pair in itertools.combinations(range(4), 2)}
+        lengths[(3, 4)] = (1.0, 1.0)
+        v = solve(Instance.from_lengths(5, 2, lengths))
+        assert v.kind == NO
+        assert v.witness.source == "pinned-subsystem"
+        failure = v.witness.report.first_failure()
+        assert failure.key == "10"
+        assert failure.witness == {"matrix": "z", "subset": [0, 1, 2, 3]}
+        assert type(failure.residual) is float
 
     def test_one_sided_degenerate_subset(self):
         # One pinned triangle that is collinear on the first side but has
@@ -402,3 +428,10 @@ class TestRandomInstance:
             random_instance(0, 5, 2, 1.5)
         with pytest.raises(InputError):
             random_instance(0, 5, 0)
+
+
+def test_import_loads_no_scipy():
+    code = "import affeq, sys; assert not any(m.startswith('scipy') for m in sys.modules)"
+    src = Path(__file__).resolve().parent.parent / "src"
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env=dict(os.environ, PYTHONPATH=str(src)))

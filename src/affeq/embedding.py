@@ -165,13 +165,11 @@ def embed(D: SquaredDistanceMatrix, d: int,
         coords[pa] = chol[a]
     non_pivots = [j for j in range(n) if j not in pivots]
     if non_pivots:
-        from scipy.linalg import solve_triangular
-
         rhs = np.empty((d, len(non_pivots)))
         for col, j in enumerate(non_pivots):
             for a, pa in enumerate(others):
                 rhs[a, col] = (zf[i0, j] + zf[i0, pa] - zf[pa, j]) / 2.0
-        sol = solve_triangular(chol, rhs, lower=True)
+        sol = np.linalg.solve(chol, rhs)
         # chol rows are the pivot coordinates; x_pa . y_j = rhs entries.
         for col, j in enumerate(non_pivots):
             coords[j] = sol[:, col]

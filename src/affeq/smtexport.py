@@ -13,6 +13,10 @@ member becomes one assertion:
   * the common-ratio equation per (d+1)-subset;
   * one disjunction over candidate base simplices, each disjunct combining
     strict nondegeneracy with the matched side-classification sign tests.
+
+The subsets and side tests are those of :func:`affeq.system.build_system`.
+A side test's linear form is twice the cofactor of the tested entry in the
+bordered matrix, the same identity the checker evaluates numerically.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from fractions import Fraction
 
 from .errors import InputError
 from .linalg import to_fraction
-from .system import Instance
+from .system import Instance, build_system
 
 _CONST_ZERO = ("const", Fraction(0))
 _CONST_ONE = ("const", Fraction(1))
@@ -69,35 +73,6 @@ def _pneg(p: dict) -> dict:
     return {mono: -coeff for mono, coeff in p.items()}
 
 
-def _derivative(p: dict, var: str) -> dict:
-    out = {}
-    for mono, coeff in p.items():
-        count = mono.count(var)
-        if not count:
-            continue
-        reduced = list(mono)
-        reduced.remove(var)
-        key = tuple(reduced)
-        c = out.get(key, Fraction(0)) + coeff * count
-        if c:
-            out[key] = c
-        else:
-            out.pop(key, None)
-    return out
-
-
-def _substitute(p: dict, var: str, entry) -> dict:
-    out = {}
-    for mono, coeff in p.items():
-        count = mono.count(var)
-        rest = tuple(x for x in mono if x != var)
-        term = {rest: coeff}
-        for _ in range(count):
-            term = _pmul_entry(term, entry)
-        out = _padd(out, term)
-    return out
-
-
 def _det(rows) -> dict:
     """Determinant of a matrix of ('const', Fraction) / ('var', name)
     entries, by first-row expansion with memoized minors."""
@@ -123,8 +98,7 @@ def _det(rows) -> dict:
     return minor(0, tuple(range(size)))
 
 
-def _cmd_poly(subset, entry_fn) -> dict:
-    """Bordered determinant of the subset as a polynomial."""
+def _bordered_rows(subset, entry_fn):
     k = len(subset)
     rows = [[_CONST_ZERO] + [_CONST_ONE] * k]
     for a, i in enumerate(subset):
@@ -132,7 +106,22 @@ def _cmd_poly(subset, entry_fn) -> dict:
         for b, j in enumerate(subset):
             row.append(_CONST_ZERO if a == b else entry_fn(i, j))
         rows.append(row)
-    return _det(rows)
+    return rows
+
+
+def _cmd_poly(subset, entry_fn) -> dict:
+    """Bordered determinant of the subset as a polynomial."""
+    return _det(_bordered_rows(subset, entry_fn))
+
+
+def _linear_form(subset, pair, entry_fn) -> dict:
+    """Derivative of the subset's bordered determinant in the entry of
+    ``pair``: twice that entry's cofactor, as in ``cmdet._linear_forms``."""
+    a, b = subset.index(pair[0]) + 1, subset.index(pair[1]) + 1
+    minor = [row[:b] + row[b + 1:]
+             for k, row in enumerate(_bordered_rows(subset, entry_fn)) if k != a]
+    sign = 2 * (-1) ** (a + b)
+    return {mono: sign * coeff for mono, coeff in _det(minor).items()}
 
 
 def _coeff_text(c: Fraction) -> str:
@@ -170,91 +159,75 @@ def export_smt(inst: Instance) -> str:
     if not isinstance(inst, Instance):
         raise InputError("export_smt expects an Instance")
     n, d = inst.n, inst.d
-    eset = inst.edge_set
-    pinned = {e: to_fraction(v) ** 2 for e, v in zip(inst.edges, inst.lam)}
-    pinned_prime = {e: to_fraction(v) ** 2 for e, v in zip(inst.edges, inst.lam_prime)}
-    free_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
-                  if (i, j) not in eset]
+    desc = build_system(inst)
 
-    def entry_z(i, j):
-        key = (min(i, j), max(i, j))
-        if key in eset:
-            return ("const", pinned[key])
-        return ("var", variable_name("z", i, j))
+    def entries(side, lengths):
+        # Exact binary squares of float lengths, unlike desc.pinned.
+        pinned = {e: to_fraction(v) ** 2 for e, v in zip(inst.edges, lengths)}
 
-    def entry_zp(i, j):
-        key = (min(i, j), max(i, j))
-        if key in eset:
-            return ("const", pinned_prime[key])
-        return ("var", variable_name("z_prime", i, j))
+        def entry(i, j):
+            key = (min(i, j), max(i, j))
+            if key in pinned:
+                return ("const", pinned[key])
+            return ("var", variable_name(side, i, j))
+        return entry
 
-    sides = (("z", entry_z), ("z_prime", entry_zp))
+    sides = (("z", entries("z", inst.lam)),
+             ("z_prime", entries("z_prime", inst.lam_prime)))
+    # Each (d+1)-subset determinant serves the sign rule, the ratio
+    # equation and the base disjuncts.
+    simplex = {name: {s: _cmd_poly(s, fn) for s in desc.simplex_subsets}
+               for name, fn in sides}
     out = [
         "(set-logic QF_NRA)",
         f"; squared-distance feasibility system: n={n}, d={d}, "
-        f"{len(free_pairs)} free pairs per side",
+        f"{len(desc.free_pairs)} free pairs per side",
         "; pinned entries are substituted as rational constants",
     ]
-    for i, j in free_pairs:
+    for i, j in desc.free_pairs:
         out.append(f"(declare-const {variable_name('z', i, j)} Real)")
         out.append(f"(declare-const {variable_name('z_prime', i, j)} Real)")
     out.append("(declare-const alpha Real)")
 
     out.append("; nonnegativity of free squared distances, positivity of alpha")
-    for i, j in free_pairs:
+    for i, j in desc.free_pairs:
         out.append(f"(assert (>= {variable_name('z', i, j)} 0))")
         out.append(f"(assert (>= {variable_name('z_prime', i, j)} 0))")
     out.append("(assert (> alpha 0))")
 
-    for size in range(3, min(d + 1, n) + 1):
+    for size, subsets in itertools.groupby(desc.sign_subsets, len):
         out.append(f"; sign rule on subsets of {size} vertices")
-        for subset in itertools.combinations(range(n), size):
-            for name, entry_fn in sides:
-                poly = _cmd_poly(subset, entry_fn)
+        for subset in subsets:
+            for name, fn in sides:
+                poly = simplex[name][subset] if size == d + 1 else _cmd_poly(subset, fn)
                 if size % 2:
                     poly = _pneg(poly)
                 out.append(f"; subset {subset}, side {name}")
                 out.append(f"(assert (>= {_poly_text(poly)} 0))")
 
-    if n >= d + 2:
+    if desc.vanish_subsets:
         out.append(f"; flatness of subsets of {d + 2} vertices")
-        for subset in itertools.combinations(range(n), d + 2):
-            for name, entry_fn in sides:
+        for subset in desc.vanish_subsets:
+            for name, fn in sides:
                 out.append(f"; subset {subset}, side {name}")
-                out.append(f"(assert (= {_poly_text(_cmd_poly(subset, entry_fn))} 0))")
+                out.append(f"(assert (= {_poly_text(_cmd_poly(subset, fn))} 0))")
 
     out.append("; common determinant ratio on subsets of d+1 vertices")
-    for subset in itertools.combinations(range(n), d + 1):
-        lhs = _poly_text(_cmd_poly(subset, entry_zp))
-        rhs = _poly_text(_cmd_poly(subset, entry_z))
+    for subset in desc.simplex_subsets:
+        lhs = _poly_text(simplex["z_prime"][subset])
+        rhs = _poly_text(simplex["z"][subset])
         out.append(f"; subset {subset}")
         out.append(f"(assert (= {lhs} (* alpha {rhs})))")
 
     out.append("; some base simplex is nondegenerate and matches all side tests")
     disjuncts = []
-    sign = 1 if (d + 1) % 2 == 0 else -1
-    for base in itertools.combinations(range(n), d + 1):
-        poly = _cmd_poly(base, entry_z)
-        if sign < 0:
-            poly = _pneg(poly)
-        clauses = [f"(> {_poly_text(poly)} 0)"]
-        for j in range(n):
-            if j in base:
-                continue
-            subset = tuple(sorted(base + (j,)))
-            for r in base:
-                forms = []
-                for name, entry_fn in sides:
-                    probed = _cmd_poly(
-                        subset,
-                        lambda a, b, r=r, j=j, fn=entry_fn:
-                            ("var", "__t") if {a, b} == {r, j} else fn(a, b))
-                    linear = _substitute(_derivative(probed, "__t"), "__t",
-                                         entry_fn(r, j))
-                    forms.append(_poly_text(linear))
-                lz, lp = forms
-                clauses.append(f"(and (= (> {lz} 0) (> {lp} 0)) "
-                               f"(= (< {lz} 0) (< {lp} 0)))")
+    for base in desc.simplex_subsets:
+        poly = simplex["z"][base]
+        clauses = [f"(> {_poly_text(_pneg(poly) if (d + 1) % 2 else poly)} 0)"]
+        for _, _, subset, pair in desc.side_checks(base):
+            lz, lp = (_poly_text(_linear_form(subset, pair, fn)) for _, fn in sides)
+            clauses.append(f"(and (= (> {lz} 0) (> {lp} 0)) "
+                           f"(= (< {lz} 0) (< {lp} 0)))")
         disjuncts.append("(and " + " ".join(clauses) + ")" if len(clauses) > 1
                          else clauses[0])
     if len(disjuncts) == 1:

@@ -359,13 +359,15 @@ def _jsonable(value):
 class _Family:
     """Collects the worst violation of one condition family.
 
-    Violations are ranked by a scale-free magnitude; ties keep the first
-    (lexicographically earliest) witness, so reports do not depend on
-    enumeration implementation details.
+    Violations are ranked by a scale-free magnitude; magnitudes within
+    relative ``tie`` of the worst so far count as tied, and ties keep the
+    first (lexicographically earliest) witness, so reports do not depend on
+    roundoff or enumeration implementation details.
     """
 
-    def __init__(self, key):
+    def __init__(self, key, tie):
         self.key = key
+        self.tie = tie
         self.worst = None
         self.witness = None
         self.residual = 0
@@ -373,7 +375,7 @@ class _Family:
 
     def fail(self, magnitude, witness, residual):
         magnitude = float(magnitude)
-        if self.worst is None or magnitude > self.worst:
+        if self.worst is None or magnitude > self.worst * (1.0 + self.tie):
             self.worst = magnitude
             self.witness = witness
             self.residual = residual
@@ -429,7 +431,7 @@ def check_assignment(inst: Instance, a: Assignment, tol: Tolerances = Tolerances
 
     entries = []
 
-    fam6 = _Family("6")
+    fam6 = _Family("6", tol.rel_eps)
     for name, orig, scaled, c, _, rule, _ in sides:
         m = max(1.0, scaled.max_over(range(n)))
         for i, j in combinations(range(n), 2):
@@ -442,7 +444,7 @@ def check_assignment(inst: Instance, a: Assignment, tol: Tolerances = Tolerances
                 )
     entries.append(fam6.entry())
 
-    fam7 = _Family("7")
+    fam7 = _Family("7", tol.rel_eps)
     for name, orig, scaled, c, pins, rule, _ in sides:
         for (i, j), want in pins.items():
             got = orig.entry(i, j)
@@ -456,7 +458,7 @@ def check_assignment(inst: Instance, a: Assignment, tol: Tolerances = Tolerances
                 )
     entries.append(fam7.entry())
 
-    fam8 = _Family("8")
+    fam8 = _Family("8", tol.rel_eps)
     for name, orig, scaled, c, _, rule, dets in sides:
         for size in range(3, d + 2):
             for subset, det, scale in zip(by_size[size], *dets[size]):
@@ -469,7 +471,7 @@ def check_assignment(inst: Instance, a: Assignment, tol: Tolerances = Tolerances
                     )
     entries.append(fam8.entry())
 
-    fam9 = _Family("9")
+    fam9 = _Family("9", tol.rel_eps)
     base = None
     try:
         base = _pick_base(zs, d, rule_z, desc.simplex_subsets, *dets_z[d + 1])
@@ -479,7 +481,7 @@ def check_assignment(inst: Instance, a: Assignment, tol: Tolerances = Tolerances
         fam9.fail(float("inf"), None, best)
     entries.append(fam9.entry())
 
-    fam10 = _Family("10")
+    fam10 = _Family("10", tol.rel_eps)
     for name, orig, scaled, c, _, rule, dets in sides:
         for subset, value, scale in zip(desc.vanish_subsets, *dets[d + 2]):
             if rule.sign(value, scale) != 0:
@@ -490,8 +492,8 @@ def check_assignment(inst: Instance, a: Assignment, tol: Tolerances = Tolerances
                 )
     entries.append(fam10.entry())
 
-    fam11 = _Family("11")
-    fam12 = _Family("12")
+    fam11 = _Family("11", tol.rel_eps)
+    fam12 = _Family("12", tol.rel_eps)
     if base is None:
         fam11.note = "not evaluated: no base simplex"
         fam12.note = "not evaluated: no base simplex"

@@ -1,4 +1,5 @@
 import itertools
+import math
 import re
 from fractions import Fraction
 
@@ -9,12 +10,12 @@ from affeq.cmdet import SquaredDistanceMatrix, cmd, quadratic_slice
 from affeq.errors import InputError
 from affeq.smtexport import (
     _cmd_poly,
-    _derivative,
+    _linear_form,
     _poly_text,
-    _substitute,
     export_smt,
     variable_name,
 )
+from affeq.solver import random_instance
 from affeq.system import Assignment, Instance, check_assignment
 
 from helpers import random_rational_sdm_rows
@@ -66,7 +67,7 @@ class TestPolynomialEngine:
                    for i in range(n) for j in range(i + 1, n)}
             assert eval_poly(poly, env) == cmd(D, subset)
 
-    def test_probe_derivative_matches_quadratic_slice(self):
+    def test_cofactor_form_matches_quadratic_slice(self):
         rng = np.random.default_rng(13)
         for _ in range(20):
             n = int(rng.integers(3, 6))
@@ -76,15 +77,13 @@ class TestPolynomialEngine:
             i, j = sorted(rng.choice(n, size=2, replace=False).tolist())
 
             def entry(a, b):
-                if {a, b} == {i, j}:
-                    return ("var", "__t")
-                return ("const", Fraction(rows[a][b]))
+                return ("var", variable_name("z", a, b))
 
-            probed = _cmd_poly(subset, entry)
-            linear = _substitute(_derivative(probed, "__t"), "__t",
-                                 ("const", Fraction(rows[i][j])))
+            linear = _linear_form(subset, (i, j), entry)
+            env = {variable_name("z", a, b): Fraction(rows[a][b])
+                   for a in range(n) for b in range(a + 1, n)}
             slice_ = quadratic_slice(D, subset, (i, j))
-            assert eval_poly(linear, {}) == slice_.linear_form(rows[i][j])
+            assert eval_poly(linear, env) == slice_.linear_form(rows[i][j])
 
     def test_poly_text_forms(self):
         assert _poly_text({}) == "0"
@@ -130,6 +129,23 @@ class TestExportText:
         assert "(assert (>= z_0_2 0))" in asserts
         assert "(assert (> alpha 0))" in asserts
         assert any("(* alpha" in a for a in asserts)
+
+        # nonnegativity and alpha, sign rule and flatness on both sides, one
+        # ratio per (d+1)-subset, one base disjunction
+        counts = []
+        for n, d in ((4, 1), (5, 2), (6, 2), (6, 3)):
+            inst, _ = random_instance(0, n, d, 0.5)
+            free = math.comb(n, 2) - len(inst.edges)
+            lines = export_smt(inst).splitlines()
+            declared = [l for l in lines if l.startswith("(declare-const")]
+            asserts = [l for l in lines if l.startswith("(assert")]
+            assert len(declared) == 2 * free + 1
+            want = (2 * free + 1
+                    + sum(2 * math.comb(n, s) for s in range(3, d + 2))
+                    + 2 * math.comb(n, d + 2) + math.comb(n, d + 1) + 1)
+            assert len(asserts) == want
+            counts.append(len(asserts))
+        assert counts == [18, 46, 100, 115]
 
     def test_flatness_emitted_above_dimension(self):
         inst = Instance.from_lengths(

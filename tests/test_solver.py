@@ -431,7 +431,13 @@ class TestRandomInstance:
 
 
 def test_import_loads_no_scipy():
-    code = "import affeq, sys; assert not any(m.startswith('scipy') for m in sys.modules)"
+    code = (
+        "import affeq, sys\n"
+        "def loaded(): return any(m.startswith('scipy') for m in sys.modules)\n"
+        "assert not loaded()\n"
+        "v = affeq.solve(affeq.random_instance(0, 6, 2, 1.0)[0])\n"
+        "assert v.diagnostics['stage'] == 'complete' and not loaded()\n"
+    )
     src = Path(__file__).resolve().parent.parent / "src"
     subprocess.run([sys.executable, "-c", code], check=True,
                    env=dict(os.environ, PYTHONPATH=str(src)))

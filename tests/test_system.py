@@ -12,6 +12,7 @@ from affeq.errors import (
     PreconditionError,
     RatioSignError,
 )
+from affeq.solver import random_instance
 from affeq.system import (
     CONDITION_KEYS,
     Assignment,
@@ -295,6 +296,18 @@ class TestCheckAssignmentFail:
         assert entry.witness["subset"] == [0, 1, 2]
         assert entry.witness["ratio"] == Fraction(16)
         assert entry.residual == Fraction(15)
+
+    def test_doubled_alpha_ties_keep_first_witness(self):
+        # every (d+1)-subset is off by the same factor two, so the family 11
+        # magnitudes tie up to roundoff and the first subset must be reported
+        for n, d in ((6, 2), (7, 3)):
+            for seed in range(10):
+                inst, cert = random_instance(seed, n, d, 0.5)
+                a = cert.assignment
+                report = check_assignment(inst, Assignment(a.z, a.z_prime, 2 * a.alpha))
+                entry = report.entry("11")
+                assert not entry.passed
+                assert entry.witness["subset"] == list(build_system(inst).simplex_subsets[0])
 
     def test_k4_ratio_mismatch(self):
         inst = complete_instance_from_points(SQUARE_PTS, SKEW_PTS, 2)

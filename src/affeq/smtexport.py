@@ -219,13 +219,24 @@ def export_smt(inst: Instance) -> str:
         out.append(f"; subset {subset}")
         out.append(f"(assert (= {lhs} (* alpha {rhs})))")
 
+    # Each side-test form once per side: the two bases that leave out either
+    # end of a pair give the same subset and pair, and the bordered matrix is
+    # symmetric, so the form does not depend on the pair's order.
+    forms = {}
+
+    def form_text(name, fn, subset, pair):
+        key = (name, subset, frozenset(pair))
+        if key not in forms:
+            forms[key] = _poly_text(_linear_form(subset, pair, fn))
+        return forms[key]
+
     out.append("; some base simplex is nondegenerate and matches all side tests")
     disjuncts = []
     for base in desc.simplex_subsets:
         poly = simplex["z"][base]
         clauses = [f"(> {_poly_text(_pneg(poly) if (d + 1) % 2 else poly)} 0)"]
         for _, _, subset, pair in desc.side_checks(base):
-            lz, lp = (_poly_text(_linear_form(subset, pair, fn)) for _, fn in sides)
+            lz, lp = (form_text(name, fn, subset, pair) for name, fn in sides)
             clauses.append(f"(and (= (> {lz} 0) (> {lp} 0)) "
                            f"(= (< {lz} 0) (< {lp} 0)))")
         disjuncts.append("(and " + " ".join(clauses) + ")" if len(clauses) > 1

@@ -277,6 +277,15 @@ def numeric_search(inst: Instance, budget: Optional[SearchBudget] = None,
     fixed = None if fixed_left is None else fixed_left.as_array() / c
     npos = 0 if fixed is not None else n * d
     nvar = npos + d * d + d
+    # Jacobian layout: edge a's endpoints own columns ci[a] and cj[a]; its
+    # residuals are rows rows1[a] (first side, absent when the first
+    # framework is fixed) and rows2[a]; the barrier is the last row.
+    ci = ii[:, None] * d + np.arange(d)
+    cj = jj[:, None] * d + np.arange(d)
+    off = 0 if fixed is not None else k
+    rows1 = np.arange(k)[:, None]
+    rows2 = rows1 + off
+    maps = slice(npos, npos + d * d)
 
     def split(theta):
         p = fixed if fixed is not None else theta[:npos].reshape(n, d)
@@ -297,26 +306,18 @@ def numeric_search(inst: Instance, budget: Optional[SearchBudget] = None,
         p, B = split(theta)
         u = p[ii] - p[jj]
         w = u @ B.T
-        rows = (k if fixed is not None else 2 * k) + 1
-        J = np.zeros((rows, nvar))
-        row = 0
+        J = np.zeros((off + k + 1, nvar))
+        J[off:off + k, maps] = 2.0 * (w[:, :, None] * u[:, None, :]).reshape(k, d * d)
         if fixed is None:
-            for a in range(k):
-                g = 2.0 * u[a]
-                J[row, ii[a] * d:(ii[a] + 1) * d] = g
-                J[row, jj[a] * d:(jj[a] + 1) * d] = -g
-                row += 1
-        for a in range(k):
-            J[row, npos:npos + d * d] = 2.0 * np.outer(w[a], u[a]).ravel()
-            if fixed is None:
-                g = 2.0 * (B.T @ w[a])
-                J[row, ii[a] * d:(ii[a] + 1) * d] = g
-                J[row, jj[a] * d:(jj[a] + 1) * d] = -g
-            row += 1
+            g = 2.0 * u
+            J[rows1, ci] = g
+            J[rows1, cj] = -g
+            g = 2.0 * (w @ B)
+            J[rows2, ci] = g
+            J[rows2, cj] = -g
         det = float(np.linalg.det(B))
         if DET_BARRIER - abs(det) > 0:
-            J[row, npos:npos + d * d] = (
-                -math.copysign(1.0, det) * det_gradient(B).ravel())
+            J[-1, maps] = -math.copysign(1.0, det) * det_gradient(B).ravel()
         return J
 
     for index in range(budget.restarts):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from affeq import smtexport
 from affeq.cmdet import SquaredDistanceMatrix, cmd, quadratic_slice
 from affeq.errors import InputError
 from affeq.smtexport import (
@@ -16,7 +17,7 @@ from affeq.smtexport import (
     variable_name,
 )
 from affeq.solver import random_instance
-from affeq.system import Assignment, Instance, check_assignment
+from affeq.system import Assignment, Instance, build_system, check_assignment
 
 from helpers import random_rational_sdm_rows
 
@@ -146,6 +147,32 @@ class TestExportText:
             assert len(asserts) == want
             counts.append(len(asserts))
         assert counts == [18, 46, 100, 115]
+
+    def test_each_side_form_built_once(self, monkeypatch):
+        # Bases leaving out either end of a pair share its side-test form,
+        # which is symmetric in the pair; each is built once per side.
+        built = []
+
+        def counting(subset, pair, entry_fn):
+            built.append((subset, frozenset(pair)))
+            return _linear_form(subset, pair, entry_fn)
+
+        monkeypatch.setattr(smtexport, "_linear_form", counting)
+        for n, d in ((4, 1), (6, 2), (6, 3)):
+            inst, _ = random_instance(0, n, d, 0.5)
+            built.clear()
+            export_smt(inst)
+            desc = build_system(inst)
+            distinct = {(subset, frozenset(pair))
+                        for base in desc.simplex_subsets
+                        for _, _, subset, pair in desc.side_checks(base)}
+            assert len(built) == 2 * len(distinct)
+            assert set(built) == distinct
+            entry = lambda i, j: ("var", variable_name("z", i, j))
+            for subset, pair in distinct:
+                i, j = sorted(pair)
+                assert (_linear_form(subset, (i, j), entry)
+                        == _linear_form(subset, (j, i), entry))
 
     def test_flatness_emitted_above_dimension(self):
         inst = Instance.from_lengths(

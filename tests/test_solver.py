@@ -5,15 +5,18 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from affeq import solver
 from affeq.embedding import Configuration
 from affeq.errors import InputError
 from affeq.linalg import det_gradient
 from affeq.reconstruct import verify_problem1
 from affeq.solver import (
+    DET_BARRIER,
     NO,
     UNKNOWN,
     YES,
@@ -27,6 +30,7 @@ from affeq.solver import (
 )
 from affeq.system import Instance, check_assignment
 
+from helpers import loop_jacobian
 from test_system import K3, SKEW_PTS, SQUARE_PTS, complete_instance_from_points
 
 BAD_K3 = Instance.from_lengths(3, 2, {(0, 1): (3, 1), (1, 2): (4, 2), (0, 2): (5, 4)})
@@ -388,6 +392,79 @@ class TestNumericSearch:
                 E[i, j] = h
                 num = (np.linalg.det(B + E) - np.linalg.det(B - E)) / (2 * h)
                 assert grad[i, j] == pytest.approx(num, rel=1e-6, abs=1e-9)
+
+
+def search_functions(monkeypatch, inst, fixed_left=None):
+    """The residual and Jacobian functions ``numeric_search`` hands to least
+    squares, with the size of its unknown vector."""
+    seen = {}
+
+    def capture(fun, x0, jac, **kwargs):
+        seen.update(fun=fun, jac=jac, size=x0.size)
+        return SimpleNamespace(x=np.full_like(x0, np.nan))
+
+    monkeypatch.setattr(solver, "least_squares", capture)
+    numeric_search(inst, SearchBudget(restarts=1), fixed_left=fixed_left)
+    return seen["fun"], seen["jac"], seen["size"]
+
+
+def search_cases():
+    """(instance, fixed_left) pairs for d = 1-3, free and fixed_left modes,
+    with an edgeless fixed_left instance per dimension."""
+    for d in (1, 2, 3):
+        for seed in range(3):
+            inst, planted = random_instance(seed, d + 2 + seed, d, 0.5)
+            yield inst, None
+            yield inst, planted.p
+        empty = Instance.from_lengths(d + 2, d, {})
+        yield empty, Configuration.from_array(np.eye(d + 2, d))
+
+
+def search_theta(rng, size, d, singular):
+    """Random unknowns whose map block has |det| = DET_BARRIER / 2 when
+    ``singular`` (barrier row active), and at least 1/8 otherwise."""
+    theta = rng.normal(size=size)
+    U, _, Vt = np.linalg.svd(rng.normal(size=(d, d)))
+    s = np.ones(d) if singular else rng.uniform(0.5, 2.0, size=d)
+    if singular:
+        s[-1] = 0.5 * DET_BARRIER
+    theta[size - d * d - d:size - d] = ((U * s) @ Vt).ravel()
+    return theta
+
+
+class TestSearchJacobian:
+    @pytest.mark.parametrize("singular", [False, True])
+    def test_matches_central_differences(self, monkeypatch, singular):
+        rng = np.random.default_rng(31)
+        h = 1e-6
+        for inst, fixed_left in search_cases():
+            fun, jac, size = search_functions(monkeypatch, inst, fixed_left)
+            theta = search_theta(rng, size, inst.d, singular)
+            J = jac(theta)
+            assert (fun(theta)[-1] > 0) == singular
+            assert np.any(J[-1] != 0) == singular
+            num = np.empty_like(J)
+            for col in range(size):
+                step = np.zeros(size)
+                step[col] = h
+                num[:, col] = (fun(theta + step) - fun(theta - step)) / (2 * h)
+            np.testing.assert_allclose(J, num, rtol=1e-6, atol=1e-6)
+
+    def test_bitwise_equal_to_edge_loop(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        for inst, fixed_left in search_cases():
+            _, jac, size = search_functions(monkeypatch, inst, fixed_left)
+            ii = np.asarray([e[0] for e in inst.edges], dtype=int)
+            jj = np.asarray([e[1] for e in inst.edges], dtype=int)
+            fixed = None
+            if fixed_left is not None:
+                lam = np.asarray([float(v) for v in inst.lam])
+                fixed = fixed_left.as_array() / (float(lam.max()) if len(lam) else 1.0)
+            for trial in range(20):
+                theta = search_theta(rng, size, inst.d, singular=trial % 4 == 0)
+                expected = loop_jacobian(theta, ii, jj, inst.n, inst.d, fixed,
+                                         DET_BARRIER)
+                assert np.array_equal(jac(theta), expected)
 
 
 class TestRandomInstance:

@@ -8,7 +8,13 @@ function of a :class:`SquaredDistanceMatrix`; no coordinates are needed.
 
 One rule governs arithmetic throughout the package.  Evaluation follows the
 data's type: determinants of an all-rational matrix are exact ``Fraction``
-values, anything else is evaluated in double precision.  Decisions follow
+values, anything else is evaluated in double precision.  Exact evaluation
+clears denominators once per :class:`SquaredDistanceMatrix`, that is once
+per side: with ``L`` the lcm of the entries' denominators, Bareiss
+elimination runs on the ints ``L * z``.  A bordered determinant over ``m``
+points is homogeneous of degree ``m - 1`` in the entries, and the cofactor
+minor of one entry of degree ``m - 2``, so the rational value is the int
+determinant over ``L**(m-1)`` or ``L**(m-2)``.  Decisions follow
 the data too.  Exact data is judged by a value's true sign; for the
 two-sided tests of :mod:`affeq.system` this also needs rational lengths and
 the ``"auto"`` policy.  Any other data is judged relative to the scale
@@ -28,7 +34,13 @@ from itertools import combinations
 import numpy as np
 
 from .errors import InputError, PreconditionError
-from .linalg import bareiss_det, bordered_det_batch, bordered_matrix, is_exact_value
+from .linalg import (
+    bareiss_det,
+    bordered_det_batch,
+    bordered_matrix,
+    clear_denominators,
+    is_exact_value,
+)
 
 DEFAULT_REL_EPS = 1e-9
 
@@ -45,7 +57,7 @@ class SquaredDistanceMatrix:
     *checked* for nonnegativity rather than rejected at construction.
     """
 
-    __slots__ = ("n", "z", "exact", "_zf")
+    __slots__ = ("n", "z", "exact", "_zf", "_zi", "_den")
 
     def __init__(self, z, *, allow_negative=False):
         rows = [tuple(row) for row in z]
@@ -66,6 +78,8 @@ class SquaredDistanceMatrix:
         zf = np.asarray([[float(x) for x in row] for row in rows])
         zf.setflags(write=False)
         self._zf = zf
+        # Exact data: the entries times their common denominator, as ints.
+        self._zi, self._den = clear_denominators(rows) if self.exact else (None, None)
 
     @classmethod
     def from_pairs(cls, n, pairs, *, allow_negative=False):
@@ -223,8 +237,8 @@ def _evaluate(D: SquaredDistanceMatrix, subsets):
     """Bordered determinants over same-size subsets, with their scales.
 
     Returns ``(dets, scales)`` as lists: ``Fraction`` determinants from one
-    Bareiss elimination per subset on exact data, Python floats from a single
-    batched LAPACK call otherwise.  Each scale is ``M**(|I|-1)`` as in
+    int Bareiss elimination per subset on exact data, Python floats from a
+    single batched LAPACK call otherwise.  Each scale is ``M**(|I|-1)`` as in
     :func:`subset_scale`, with ``M`` the largest entry magnitude over the
     subset.  Subsets are not validated.
     """
@@ -238,7 +252,10 @@ def _evaluate(D: SquaredDistanceMatrix, subsets):
     top = blocks.max(axis=1).tolist() if size else [0.0] * len(subsets)
     scales = [m ** (size - 1) if m != 0.0 else 1.0 for m in top]
     if D.exact:
-        return [bareiss_det(bordered_matrix(D.z, I)) for I in subsets], scales
+        # Degree size-1 in the entries; the empty set's determinant is 0.
+        power = D._den ** max(size - 1, 0)
+        return [Fraction(bareiss_det(bordered_matrix(D._zi, I)), power)
+                for I in subsets], scales
     return bordered_det_batch(zf, idx).tolist(), scales
 
 
@@ -249,16 +266,19 @@ def _linear_forms(D: SquaredDistanceMatrix, subsets, pairs):
     derivative is twice its cofactor: one minor per subset, exact on exact
     data and batched in floating point otherwise.
     """
+    z = D._zi if D.exact else D.z
     minors, signs = [], []
     for I, (r, s) in zip(subsets, pairs):
         a, b = I.index(r) + 1, I.index(s) + 1
-        rows = bordered_matrix(D.z, I)
+        rows = bordered_matrix(z, I)
         minors.append([row[:b] + row[b + 1:] for k, row in enumerate(rows) if k != a])
         signs.append(2 * (-1) ** (a + b))
     if not minors:
         return []
     if D.exact:
-        dets = [bareiss_det(m) for m in minors]
+        # An m-point subset's minor is m x m and of degree m-2 in the entries.
+        dets = [Fraction(bareiss_det(minor), D._den ** (len(minor) - 2))
+                for minor in minors]
     else:
         dets = np.linalg.det(np.asarray(minors, dtype=float)).tolist()
     return [sign * det for sign, det in zip(signs, dets)]

@@ -1,13 +1,15 @@
 """Determinant and linear-solve kernels in two arithmetic modes.
 
-Exact mode works on ``fractions.Fraction`` / ``int`` entries with
-fraction-free Bareiss elimination, so signs of near-degenerate determinants
-are decided without rounding.  Floating mode delegates to LAPACK
-(elimination with partial pivoting) through numpy.
+Exact mode takes ``fractions.Fraction`` / ``int`` entries, clears their
+denominators and runs fraction-free Bareiss elimination on Python ints, so
+signs of near-degenerate determinants are decided without rounding.
+Floating mode delegates to LAPACK (elimination with partial pivoting)
+through numpy.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from numbers import Rational
 
@@ -32,36 +34,54 @@ def to_fraction(x) -> Fraction:
     return Fraction(x)
 
 
-def bareiss_det(rows) -> Fraction:
-    """Exact determinant via fraction-free Bareiss elimination.
+def clear_denominators(rows):
+    """``(int rows, L)``: ``L`` is the lcm of the entries' denominators and
+    each entry is multiplied by it.  Entries convert through ``Fraction``,
+    so numpy integers cannot overflow."""
+    fr = [[to_fraction(x) for x in row] for row in rows]
+    den = math.lcm(*(x.denominator for row in fr for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in fr], den
 
-    ``rows`` is a square list-of-lists of rationals.  Row pivoting is used;
-    every division in the Bareiss recurrence is exact.
+
+def bareiss_det(rows):
+    """Exact determinant via fraction-free Bareiss elimination on ints.
+
+    ``rows`` is a square list-of-lists of rationals.  Rows of Python ints
+    give an ``int``.  Other rows are first cleared of denominators: with
+    ``L`` the lcm of every entry's denominator, the ``int`` matrix
+    ``L * rows`` is eliminated and the result is ``Fraction(det, L**n)``.
+    Row pivoting is used; every division in the Bareiss recurrence is
+    exact, so ``//`` is.
     """
     n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    a = [[to_fraction(x) for x in row] for row in rows]
-    if any(len(row) != n for row in a):
+    if any(len(row) != n for row in rows):
         raise InputError("bareiss_det requires a square matrix")
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) / prev
-            a[i][k] = Fraction(0)
+    if {type(x) for row in rows for x in row} <= {int}:
+        a, den = [list(row) for row in rows], None
+    else:
+        a, den = clear_denominators(rows)
+    det = _int_bareiss(a) if n else 1
+    return det if den is None else Fraction(det, den**n)
+
+
+def _int_bareiss(a) -> int:
+    """Determinant of a nonempty square ``int`` matrix; ``a`` is consumed."""
+    sign, prev = 1, 1
+    while len(a) > 1:
+        for k, row in enumerate(a):
+            if row[0]:
+                break
+        else:
+            return 0
+        if k:
+            a[0], a[k] = a[k], a[0]
+            sign = -sign
+        top = a[0]
+        pivot = top[0]
+        a = [[(x * pivot - row[0] * y) // prev for x, y in zip(row[1:], top[1:])]
+             for row in a[1:]]
         prev = pivot
-    return sign * a[n - 1][n - 1]
+    return sign * a[0][0]
 
 
 def solve_exact(rows, rhs) -> list[Fraction]:
@@ -91,7 +111,7 @@ def det_any(rows):
     """Determinant dispatching on entry type: exact when all rational."""
     flat = [x for row in rows for x in row]
     if all(is_exact_value(x) for x in flat):
-        return bareiss_det(rows)
+        return Fraction(bareiss_det(rows))
     return float(np.linalg.det(np.asarray(rows, dtype=float)))
 
 

@@ -22,14 +22,13 @@ bordered matrix, the same identity the checker evaluates numerically.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .errors import InputError
 from .linalg import to_fraction
 from .system import Instance, build_system
 
-_CONST_ZERO = ("const", Fraction(0))
-_CONST_ONE = ("const", Fraction(1))
+_CONST_ZERO = ("const", 0)
+_CONST_ONE = ("const", 1)
 
 
 def variable_name(side: str, i: int, j: int) -> str:
@@ -41,13 +40,13 @@ def variable_name(side: str, i: int, j: int) -> str:
     return f"{prefix}_{i}_{j}"
 
 
-# -- polynomials as {monomial tuple: Fraction} -------------------------------
+# -- polynomials as {monomial tuple: int or Fraction} ------------------------
 
 
 def _padd(a: dict, b: dict) -> dict:
     out = dict(a)
     for mono, coeff in b.items():
-        c = out.get(mono, Fraction(0)) + coeff
+        c = out.get(mono, 0) + coeff
         if c:
             out[mono] = c
         else:
@@ -74,14 +73,14 @@ def _pneg(p: dict) -> dict:
 
 
 def _det(rows) -> dict:
-    """Determinant of a matrix of ('const', Fraction) / ('var', name)
+    """Determinant of a matrix of ('const', rational) / ('var', name)
     entries, by first-row expansion with memoized minors."""
     size = len(rows)
     memo = {}
 
     def minor(r, cols):
         if r == size:
-            return {(): Fraction(1)}
+            return {(): 1}
         key = (r, cols)
         if key in memo:
             return memo[key]
@@ -124,7 +123,7 @@ def _linear_form(subset, pair, entry_fn) -> dict:
     return {mono: sign * coeff for mono, coeff in _det(minor).items()}
 
 
-def _coeff_text(c: Fraction) -> str:
+def _coeff_text(c) -> str:
     mag = (str(abs(c.numerator)) if c.denominator == 1
            else f"(/ {abs(c.numerator)} {c.denominator})")
     return f"(- {mag})" if c < 0 else mag
@@ -162,8 +161,11 @@ def export_smt(inst: Instance) -> str:
     desc = build_system(inst)
 
     def entries(side, lengths):
-        # Exact binary squares of float lengths, unlike desc.pinned.
-        pinned = {e: to_fraction(v) ** 2 for e, v in zip(inst.edges, lengths)}
+        # Exact binary squares of float lengths, unlike desc.pinned; ints
+        # where they are integral, so integer data stays in int arithmetic.
+        squares = (to_fraction(v) ** 2 for v in lengths)
+        pinned = {e: c.numerator if c.denominator == 1 else c
+                  for e, c in zip(inst.edges, squares)}
 
         def entry(i, j):
             key = (min(i, j), max(i, j))

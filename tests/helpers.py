@@ -141,3 +141,34 @@ def loop_jacobian(theta, ii, jj, n, d, fixed, barrier):
         J[row, npos:npos + d * d] = (
             -math.copysign(1.0, det) * det_gradient(B).ravel())
     return J
+
+
+def fraction_bareiss(rows):
+    """Exact determinant by Bareiss elimination over ``Fraction``.
+
+    The elimination ``linalg.bareiss_det`` ran before it moved to ints, kept
+    as its reference: every intermediate is a reduced ``Fraction``.
+    """
+    n = len(rows)
+    if n == 0:
+        return Fraction(1)
+    a = [[Fraction(int(x)) if isinstance(x, np.integer) else Fraction(x) for x in row]
+         for row in rows]
+    sign = 1
+    prev = Fraction(1)
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return Fraction(0)
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) / prev
+            a[i][k] = Fraction(0)
+        prev = pivot
+    return sign * a[n - 1][n - 1]

@@ -8,6 +8,8 @@ from affeq.cmdet import (
     EmbeddabilityReport,
     Side,
     SquaredDistanceMatrix,
+    _evaluate,
+    _linear_forms,
     cmd,
     menger_check,
     quadratic_slice,
@@ -285,6 +287,72 @@ class TestQuadraticSlice:
             quadratic_slice(TRIANGLE_345, (0, 1, 2), (0, 0))
         with pytest.raises(InputError):
             quadratic_slice(TRIANGLE_345, (0, 1), (0, 2))
+
+
+def pair_derivative(z, index_set, pair):
+    """Exact derivative of the bordered determinant in ``z[pair]``: it is a
+    quadratic in that entry, so the central difference of step 1 is exact."""
+    r, s = pair
+    values = []
+    for step in (1, -1):
+        znew = [list(row) for row in z]
+        znew[r][s] = znew[s][r] = z[r][s] + step
+        values.append(cmd_oracle(znew, index_set))
+    return Fraction(values[0] - values[1], 2)
+
+
+class TestExactEdgeSizes:
+    """The exact branches on subsets whose determinant has degree zero or
+    less in the entries: |I|-1 for a subset, |I|-2 for a pair's minor."""
+
+    Z = [[0, Fraction(3, 4), 5, Fraction(7, 6)],
+         [Fraction(3, 4), 0, Fraction(2, 5), 9],
+         [5, Fraction(2, 5), 0, Fraction(1, 3)],
+         [Fraction(7, 6), 9, Fraction(1, 3), 0]]
+
+    def test_evaluate(self):
+        D = SquaredDistanceMatrix(self.Z)
+        for size in (0, 1, 2, 3):
+            subsets = list(combinations(range(4), size))
+            dets, _ = _evaluate(D, subsets)
+            assert dets == [cmd_oracle(self.Z, I) for I in subsets]
+            assert all(type(det) is Fraction for det in dets)
+
+    def test_linear_forms(self):
+        D = SquaredDistanceMatrix(self.Z)
+        for size in (2, 3):
+            subsets = list(combinations(range(4), size))
+            pairs = [I[-2:] for I in subsets]
+            forms = _linear_forms(D, subsets, pairs)
+            assert forms == [pair_derivative(self.Z, I, p) for I, p in zip(subsets, pairs)]
+            assert all(type(form) is Fraction for form in forms)
+
+    def test_quadratic_slice_of_a_pair(self):
+        # The face of a 2-subset is empty, so U is the empty set's determinant.
+        D = SquaredDistanceMatrix(self.Z)
+        for pair in combinations(range(4), 2):
+            sl = quadratic_slice(D, pair, pair)
+            assert (sl.U, sl.V, sl.W) == (0, 2, 0)
+            assert sl.evaluate(self.Z[pair[0]][pair[1]]) == cmd(D, pair)
+
+    def test_large_numpy_integer_entries(self):
+        rng = np.random.default_rng(23)
+        n = 6
+        big = np.zeros((n, n), dtype=np.int64)
+        for i, j in combinations(range(n), 2):
+            big[i, j] = big[j, i] = 2**40 + int(rng.integers(0, 2**30))
+        D64, D = SquaredDistanceMatrix(big), SquaredDistanceMatrix(big.tolist())
+        assert D64.exact
+        for size in range(1, n + 1):
+            subsets = list(combinations(range(n), size))
+            assert _evaluate(D64, subsets)[0] == _evaluate(D, subsets)[0]
+            if size >= 2:
+                pairs = [I[:2] for I in subsets]
+                assert (_linear_forms(D64, subsets, pairs)
+                        == _linear_forms(D, subsets, pairs))
+        full = tuple(range(n))
+        assert cmd(D64, full) == cmd_oracle(big.tolist(), full)
+        assert abs(cmd(D64, full)) > 2**63
 
 
 class TestSideClassify:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import re
@@ -189,6 +190,23 @@ class TestExportText:
     def test_rejects_non_instance(self):
         with pytest.raises(InputError):
             export_smt("nope")
+
+    # SHA-256 of the exported text, taken while polynomial coefficients were
+    # still all Fraction; the coefficient types must not change the bytes.
+    @pytest.mark.parametrize("inst, digest", [
+        # lattice points (0,0) (1,0) (0,1) (1,1) (2,1), unit axis edges, and
+        # the map with columns (3,4) and (0,2): integer lengths on both sides
+        (Instance.from_lengths(5, 2, {(0, 1): (1, 5), (0, 2): (1, 2), (1, 3): (1, 2),
+                                      (2, 3): (1, 5), (3, 4): (1, 5)}),
+         "42d7495110442feafae2d2b2d23610747ca87e1e9af34ad057c9976312a82f11"),
+        (Instance.from_lengths(5, 2, {(0, 1): (Fraction(1, 2), 1), (1, 2): (0.75, 2.5),
+                                      (2, 3): (3, Fraction(7, 3)),
+                                      (0, 3): (Fraction(5, 3), 0.1),
+                                      (3, 4): (1.25, Fraction(9, 4))}),
+         "cd6adf40cd27e0610d8ea53dab8b19f992067a0ef3ab09f5df466b7158e26ec3"),
+    ])
+    def test_text_pinned(self, inst, digest):
+        assert hashlib.sha256(export_smt(inst).encode()).hexdigest() == digest
 
 
 class TestModelRoundTrip:

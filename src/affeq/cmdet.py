@@ -110,9 +110,6 @@ class SquaredDistanceMatrix:
             [[x * factor for x in row] for row in self.z], allow_negative=True
         )
 
-    def min_entry(self):
-        return min(x for row in self.z for x in row)
-
     def __eq__(self, other):
         return isinstance(other, SquaredDistanceMatrix) and self.z == other.z
 

@@ -1,13 +1,27 @@
 """Decision procedure: certificate search plus sound infeasibility tests.
 
 A YES verdict always carries an explicit certificate (assignment, framework
-pair, affine map) that has re-passed both the condition checker and the
-equivalence verifier.  A NO verdict rests only on facts that hold for every
-candidate assignment: too few vertices to span the dimension, a violated
-subsystem all of whose pairs are pinned edges, the fully determined
-complete-graph check, or the one-dimensional orientation oracle.  When the
-numeric search merely fails to find a certificate the verdict is UNKNOWN,
-never NO.
+pair, affine map) that has passed the condition checker and the equivalence
+verifier.  A NO verdict rests only on facts that hold for every candidate
+assignment.  When the numeric search merely fails to find a certificate the
+verdict is UNKNOWN, never NO.
+
+``solve`` runs one tuple of stages and returns the first verdict.  Each stage
+takes ``(inst, budget, tol, fixed_left)`` and returns a verdict or None:
+
+- ``_structure``: NO when too few vertices span the dimension;
+- ``_pinned_scan``: NO when a subset whose pairs are all edges is already
+  contradictory;
+- ``_complete_decision``: on a complete graph every length is pinned, so the
+  checker decides NO and a pass is reconstructed into a YES;
+- ``_fixed_left_precheck``: NO when the fixed framework spans too little;
+- ``_line_decision``: in dimension 1, YES or NO by orientation enumeration;
+- ``_numeric``: YES from the numeric search, else UNKNOWN.
+
+The default tuple ``_STAGES`` is structure, pinned scan, line decision,
+numeric, and ``line_oracle`` always runs it.  On a complete graph ``solve``
+puts the complete decision in place of the pinned scan; with ``fixed_left``
+it puts the fixed-left precheck in place of the line decision.
 """
 
 from __future__ import annotations
@@ -163,10 +177,6 @@ def least_squares(*args, **kwargs):
     return solve_least_squares(*args, **kwargs)
 
 
-def _fragment(entry: ConditionEntry) -> ConditionReport:
-    return ConditionReport(entries=(entry,), base_simplex=None)
-
-
 def solve(inst: Instance, budget: Optional[SearchBudget] = None,
           tol: Tolerances = Tolerances(),
           fixed_left: Optional[Configuration] = None) -> Verdict:
@@ -183,32 +193,12 @@ def solve(inst: Instance, budget: Optional[SearchBudget] = None,
         raise InputError("budget must be a SearchBudget")
     if fixed_left is not None:
         _validate_fixed_left(inst, fixed_left, tol)
-    if inst.n < inst.d + 1:
-        entry = ConditionEntry(
-            "9", False, None, math.inf,
-            note=f"{inst.n} vertices cannot affinely span dimension {inst.d}")
-        return Verdict(NO, witness=InfeasibilityWitness("structure", _fragment(entry)),
-                       diagnostics={"stage": "structure"})
-    if inst.is_complete() and fixed_left is None:
-        verdict = _complete_decision(inst, tol)
-        if verdict is not None:
-            return verdict
+        stages = (_structure, _pinned_scan, _fixed_left_precheck, _numeric)
+    elif inst.is_complete():
+        stages = (_structure, _complete_decision, _line_decision, _numeric)
     else:
-        witness = _pinned_scan(inst, tol)
-        if witness is not None:
-            return Verdict(NO, witness=witness, diagnostics={"stage": "pinned-scan"})
-        if fixed_left is not None:
-            verdict = _fixed_left_precheck(inst, fixed_left)
-            if verdict is not None:
-                return verdict
-    if inst.d == 1 and fixed_left is None:
-        verdict = _line_decision(inst, tol)
-        if verdict is not None:
-            return verdict
-    cert, diag = numeric_search(inst, budget, tol, fixed_left=fixed_left)
-    if cert is not None:
-        return Verdict(YES, certificate=cert, diagnostics=diag)
-    return Verdict(UNKNOWN, diagnostics=diag)
+        stages = _STAGES
+    return _decide(stages, inst, budget, tol, fixed_left)
 
 
 def line_oracle(inst: Instance, tol: Tolerances = Tolerances(),
@@ -219,28 +209,37 @@ def line_oracle(inst: Instance, tol: Tolerances = Tolerances(),
     each spanning-tree edge and checking the remaining edges, then requires a
     single positive scale between the two length prescriptions.  Components
     with more tree edges than the enumeration cap fall back to the numeric
-    search, which cannot return NO.
+    search, which cannot return NO.  Runs the stages ``solve`` runs on a
+    graph that is not complete, whatever the graph.
     """
     if not isinstance(inst, Instance):
         raise InputError("line_oracle expects an Instance")
     if inst.d != 1:
         raise InputError("the line oracle only handles dimension 1")
-    if inst.n < 2:
-        entry = ConditionEntry(
-            "9", False, None, math.inf,
-            note="1 vertex cannot affinely span dimension 1")
-        return Verdict(NO, witness=InfeasibilityWitness("structure", _fragment(entry)),
-                       diagnostics={"stage": "structure"})
-    witness = _pinned_scan(inst, tol)
-    if witness is not None:
-        return Verdict(NO, witness=witness, diagnostics={"stage": "pinned-scan"})
-    verdict = _line_decision(inst, tol)
-    if verdict is not None:
-        return verdict
-    cert, diag = numeric_search(inst, budget, tol)
-    if cert is not None:
-        return Verdict(YES, certificate=cert, diagnostics=diag)
-    return Verdict(UNKNOWN, diagnostics=diag)
+    return _decide(_STAGES, inst, budget, tol)
+
+
+def _decide(stages, inst, budget, tol, fixed_left=None) -> Verdict:
+    for stage in stages:
+        verdict = stage(inst, budget, tol, fixed_left)
+        if verdict is not None:
+            return verdict
+
+
+def _refuted(stage: str, source: str, report) -> Verdict:
+    """NO from the sound test ``source``; ``report`` is the checker's report
+    or the single failed entry that refutes every assignment."""
+    if isinstance(report, ConditionEntry):
+        report = ConditionReport(entries=(report,), base_simplex=None)
+    return Verdict(NO, witness=InfeasibilityWitness(source, report),
+                   diagnostics={"stage": stage})
+
+
+def _numeric(inst, budget, tol, fixed_left) -> Verdict:
+    cert, diag = numeric_search(inst, budget, tol, fixed_left=fixed_left)
+    if cert is None:
+        return Verdict(UNKNOWN, diagnostics=diag)
+    return Verdict(YES, certificate=cert, diagnostics=diag)
 
 
 def numeric_search(inst: Instance, budget: Optional[SearchBudget] = None,
@@ -407,18 +406,20 @@ def random_instance(seed: int, n: int, d: int, edge_density: float = 0.5):
     lengths = {e: (math.dist(pts[e[0]], pts[e[1]]), math.dist(q[e[0]], q[e[1]]))
                for e in sorted(edges)}
     inst = Instance.from_lengths(n, d, lengths)
-
-    p = Configuration.from_array(pts)
-    p_prime = Configuration.from_array(q)
-    amap = AffineMap(tuple(tuple(float(x) for x in row) for row in B),
-                     tuple(float(x) for x in b))
-    alpha = float(np.linalg.det(B)) ** 2
-    cert = Certificate(Assignment(distances_of(p), distances_of(p_prime), alpha),
-                       p, p_prime, amap)
-    return inst, cert
+    return inst, _certificate_from_arrays(inst, pts, B, b)
 
 
 # -- sound NO tests ---------------------------------------------------------
+
+
+def _structure(inst, budget, tol, fixed_left) -> Optional[Verdict]:
+    """Fewer than d+1 vertices cannot span dimension d."""
+    if inst.n >= inst.d + 1:
+        return None
+    noun = "vertex" if inst.n == 1 else "vertices"
+    return _refuted("structure", "structure", ConditionEntry(
+        "9", False, None, math.inf,
+        note=f"{inst.n} {noun} cannot affinely span dimension {inst.d}"))
 
 
 def _pinned_squares(inst: Instance):
@@ -428,7 +429,7 @@ def _pinned_squares(inst: Instance):
                  for lengths in (inst.lam, inst.lam_prime))
 
 
-def _pinned_scan(inst: Instance, tol: Tolerances) -> Optional[InfeasibilityWitness]:
+def _pinned_scan(inst, budget, tol, fixed_left) -> Optional[Verdict]:
     """Look for a subset all of whose pairs are edges that is already
     contradictory: wrong determinant sign, missing flatness, or ratios no
     single alpha can serve.  Exact lengths are decided exactly; floats only
@@ -454,24 +455,23 @@ def _pinned_scan(inst: Instance, tol: Tolerances) -> Optional[InfeasibilityWitne
             for name, dets, scales in evaluated:
                 value, scale = dets[k], scales[k]
                 if 3 <= size <= d + 1 and rule.sign((-1) ** size * value, scale) < 0:
-                    entry = ConditionEntry(
+                    return _refuted("pinned-scan", "pinned-subsystem", ConditionEntry(
                         "8", False, {"matrix": name, "subset": list(subset)},
                         residual=abs(value),
-                        note="fully pinned subset violates the sign rule")
-                    return InfeasibilityWitness("pinned-subsystem", _fragment(entry))
+                        note="fully pinned subset violates the sign rule"))
                 if size == d + 2 and rule.sign(value, scale) != 0:
-                    entry = ConditionEntry(
+                    return _refuted("pinned-scan", "pinned-subsystem", ConditionEntry(
                         "10", False, {"matrix": name, "subset": list(subset)},
                         residual=abs(value),
-                        note="fully pinned subset of d+2 vertices is not flat")
-                    return InfeasibilityWitness("pinned-subsystem", _fragment(entry))
+                        note="fully pinned subset of d+2 vertices is not flat"))
             if size == d + 1:
                 (_, u, su), (_, v, sv) = evaluated
                 ratio_data.append((subset, u[k], v[k], su[k], sv[k]))
-    return _ratio_consistency(ratio_data, inst.exact, tol)
+    entry = _ratio_consistency(ratio_data, inst.exact, tol)
+    return None if entry is None else _refuted("pinned-scan", "pinned-subsystem", entry)
 
 
-def _ratio_consistency(ratio_data, exact, tol) -> Optional[InfeasibilityWitness]:
+def _ratio_consistency(ratio_data, exact, tol) -> Optional[ConditionEntry]:
     """All fully pinned (d+1)-subsets must admit one common positive ratio;
     in particular neither side's determinant may vanish alone."""
     if not ratio_data:
@@ -479,25 +479,23 @@ def _ratio_consistency(ratio_data, exact, tol) -> Optional[InfeasibilityWitness]
     if exact:
         for subset, u, v, _, _ in ratio_data:
             if (u == 0) != (v == 0):
-                entry = ConditionEntry(
+                return ConditionEntry(
                     "11", False,
                     {"subset": list(subset),
                      "matrix": "z" if u == 0 else "z_prime"},
                     residual=abs(u) + abs(v),
                     note="determinant vanishes on one side of a pinned subset only")
-                return InfeasibilityWitness("pinned-subsystem", _fragment(entry))
         anchored = [(s, u, v) for s, u, v, _, _ in ratio_data if u != 0]
         if len(anchored) >= 2:
             s0, u0, v0 = anchored[0]
             for subset, u, v in anchored[1:]:
                 if v0 * u != v * u0:
-                    entry = ConditionEntry(
+                    return ConditionEntry(
                         "11", False,
                         {"subset": list(subset), "ratio": Fraction(v, u),
                          "other_subset": list(s0), "other_ratio": Fraction(v0, u0)},
                         residual=abs(Fraction(v, u) - Fraction(v0, u0)),
                         note="pinned subsets demand incompatible ratios")
-                    return InfeasibilityWitness("pinned-subsystem", _fragment(entry))
         return None
     if len(ratio_data) < 2:
         return None
@@ -509,17 +507,16 @@ def _ratio_consistency(ratio_data, exact, tol) -> Optional[InfeasibilityWitness]
         lo = min(decisive)
         hi = max(decisive)
         if hi[0] - lo[0] > 3.0 * tol.alpha_rel * max(abs(hi[0]), abs(lo[0])):
-            entry = ConditionEntry(
+            return ConditionEntry(
                 "11", False,
                 {"subset": list(hi[1]), "ratio": hi[0],
                  "other_subset": list(lo[1]), "other_ratio": lo[0]},
                 residual=hi[0] - lo[0],
                 note="pinned subsets demand incompatible ratios")
-            return InfeasibilityWitness("pinned-subsystem", _fragment(entry))
     return None
 
 
-def _complete_decision(inst: Instance, tol: Tolerances) -> Optional[Verdict]:
+def _complete_decision(inst, budget, tol, fixed_left) -> Optional[Verdict]:
     """On a complete graph the assignment is fully pinned, so the checker
     decides; a pass is upgraded to YES by reconstruction.
 
@@ -535,23 +532,23 @@ def _complete_decision(inst: Instance, tol: Tolerances) -> Optional[Verdict]:
         alpha = estimate_alpha(z, z_prime, base, rel_eps=tol.rel_eps)
     except NoBaseSimplexError:
         if inst.exact:
-            entry = ConditionEntry(
+            return _refuted("complete", "complete-pinned", ConditionEntry(
                 "9", False, None, 0,
-                note="every subset of d+1 vertices is degenerate under the pinned lengths")
-            return Verdict(NO,
-                           witness=InfeasibilityWitness("complete-pinned", _fragment(entry)),
-                           diagnostics={"stage": "complete"})
+                note="every subset of d+1 vertices is degenerate under the pinned lengths"))
         # float data: let the checker report the degeneracy with margins
     except RatioSignError:
         pass  # the checker localizes the sign or vanishing defect
     assignment = Assignment(z, z_prime, alpha)
-    report = check_assignment(inst, assignment, tol)
-    if not report.passed:
-        return Verdict(NO, witness=InfeasibilityWitness("complete-pinned", report),
-                       diagnostics={"stage": "complete"})
     try:
         p, p_prime, amap = reconstruct(inst, assignment, tol)
-    except (EmbeddabilityError, ReconstructionError, PreconditionError, NoBaseSimplexError):
+    except PreconditionError:
+        # reconstruct checks the assignment first and raises this only when
+        # that check fails.  The pinned assignment is the only candidate, so
+        # the failure is a NO; its report is built here alone so that a YES
+        # passes the checker once.
+        return _refuted("complete", "complete-pinned",
+                        check_assignment(inst, assignment, tol))
+    except (EmbeddabilityError, ReconstructionError, NoBaseSimplexError):
         return None
     cert = Certificate(assignment, p, p_prime, amap)
     if not verify_problem1(inst, p, p_prime, amap).passed:
@@ -573,34 +570,35 @@ def _validate_fixed_left(inst: Instance, config: Configuration, tol: Tolerances)
                 f"fixed framework violates the pinned length on edge {e}")
 
 
-def _fixed_left_precheck(inst: Instance, config: Configuration) -> Optional[Verdict]:
+def _fixed_left_precheck(inst, budget, tol, fixed_left) -> Optional[Verdict]:
     """With the first framework pinned, its distance data must still admit a
     spanning base simplex; decided exactly on the given coordinates."""
-    z = distances_of(config)
+    z = distances_of(fixed_left)
     exact_rows = [[to_fraction(v) for v in row] for row in z.z]
     try:
-        find_base_simplex(SquaredDistanceMatrix(exact_rows), inst.d, strict=True)
+        find_base_simplex(SquaredDistanceMatrix(exact_rows), inst.d)
     except NoBaseSimplexError:
-        entry = ConditionEntry(
+        return _refuted("fixed-left", "fixed-left", ConditionEntry(
             "9", False, {"matrix": "z"}, 0,
-            note="the fixed framework does not affinely span the dimension")
-        return Verdict(NO, witness=InfeasibilityWitness("fixed-left", _fragment(entry)),
-                       diagnostics={"stage": "fixed-left"})
+            note="the fixed framework does not affinely span the dimension"))
     return None
 
 
 # -- one-dimensional oracle -------------------------------------------------
 
 
-def _line_decision(inst: Instance, tol: Tolerances) -> Optional[Verdict]:
+def _line_decision(inst, budget, tol, fixed_left) -> Optional[Verdict]:
     """Enumerate per-component edge orientations on the line.
 
     Returns a verdict only when decisive: YES when every component places
     with (near-)zero defect and the length ratio is (near-)constant, NO when
     the best placement of some component is far outside any assignment the
     checker could accept.  Returns None when a component is too large to
-    enumerate or the defect lands in the undecidable gray band.
+    enumerate or the defect lands in the undecidable gray band, and in any
+    dimension other than 1.
     """
+    if inst.d != 1:
+        return None
     n = inst.n
     rule = _Rule(inst.exact)
     lam = {e: to_fraction(v) for e, v in zip(inst.edges, inst.lam)}
@@ -651,14 +649,12 @@ def _line_decision(inst: Instance, tol: Tolerances) -> Optional[Verdict]:
         defect, x, worst_edge = best
         if rule.sign(defect, scale, _LINE_ACCEPT) != 0:
             if rule.sign(defect, scale, _LINE_REJECT) != 0:
-                entry = ConditionEntry(
+                return _refuted("line-oracle", "line-oracle", ConditionEntry(
                     "10", False,
                     {"matrix": "z", "component": sorted(comp),
                      "edge": list(worst_edge) if worst_edge else None},
                     residual=defect,
-                    note="no placement of the component on a line meets every pinned length")
-                return Verdict(NO, witness=InfeasibilityWitness("line-oracle", _fragment(entry)),
-                               diagnostics={"stage": "line-oracle"})
+                    note="no placement of the component on a line meets every pinned length"))
             return None  # gray band: leave to the numeric search
         for i, value in x.items():
             positions[i] = value
@@ -673,25 +669,26 @@ def _line_decision(inst: Instance, tol: Tolerances) -> Optional[Verdict]:
         s = Fraction(1)
         positions = [Fraction(i) for i in range(n)]
 
-    cert = _line_certificate(inst, positions, s)
+    cert = _line_certificate(inst, positions, s, lam, lam_prime)
     if not _verified(inst, cert, tol):
         raise InternalInconsistencyError(
             "line placement found but its certificate failed verification")
     return Verdict(YES, certificate=cert, diagnostics={"stage": "line-oracle"})
 
 
-def _line_certificate(inst: Instance, positions, s) -> Certificate:
+_STAGES = (_structure, _pinned_scan, _line_decision, _numeric)
+
+
+def _line_certificate(inst: Instance, positions, s, lam, lam_prime) -> Certificate:
     n = inst.n
     eset = inst.edge_set
-    lam2 = {e: to_fraction(v) ** 2 for e, v in zip(inst.edges, inst.lam)}
-    lamp2 = {e: to_fraction(v) ** 2 for e, v in zip(inst.edges, inst.lam_prime)}
     s2 = s * s
     z_rows = [[Fraction(0)] * n for _ in range(n)]
     zp_rows = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             if (i, j) in eset:
-                a, b = lam2[(i, j)], lamp2[(i, j)]
+                a, b = lam[(i, j)] ** 2, lam_prime[(i, j)] ** 2
             else:
                 gap = (positions[i] - positions[j]) ** 2
                 a, b = gap, s2 * gap

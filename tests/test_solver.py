@@ -1,4 +1,7 @@
+import hashlib
+import importlib
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -31,6 +34,7 @@ from affeq.solver import (
 from affeq.system import Instance, check_assignment
 
 from helpers import loop_jacobian
+from test_acceptance import _random_line_instance
 from test_system import K3, SKEW_PTS, SQUARE_PTS, complete_instance_from_points
 
 BAD_K3 = Instance.from_lengths(3, 2, {(0, 1): (3, 1), (1, 2): (4, 2), (0, 2): (5, 4)})
@@ -505,6 +509,69 @@ class TestRandomInstance:
             random_instance(0, 5, 2, 1.5)
         with pytest.raises(InputError):
             random_instance(0, 5, 0)
+
+
+def pinned_verdict_json():
+    """Verdict JSON over exact instances, whose reports and certificates hold
+    no value from a float kernel: the line-oracle cases, the exact complete
+    NO cases (a complete YES is embedded in floats), and the exact instances
+    of the acceptance line suite."""
+    line = [PATH_2X, TRIANGLE_D1, PATH_MISMATCH, CYCLE_OPEN, CYCLE_CLOSED,
+            Instance.from_lengths(4, 1, {(0, 1): (1, 2), (2, 3): (5, 10)}),
+            Instance.from_lengths(4, 1, {(0, 1): (1, 2), (2, 3): (1, 3)}),
+            Instance(3, 1, (), (), ()), Instance(1, 1, (), (), ())]
+    line += [inst for inst in map(_random_line_instance, range(40)) if inst.exact]
+    complete = [BAD_K3, TRIANGLE_D1, Instance.from_lengths(
+        3, 2, {(0, 1): (1, 1), (1, 2): (1, 1), (0, 2): (2, 2)})]
+    verdicts = [line_oracle(inst) for inst in line] + [solve(inst) for inst in complete]
+    assert all(v.diagnostics["stage"] != "numeric" for v in verdicts)
+    return "\n".join(json.dumps(v.to_dict(), sort_keys=True) for v in verdicts)
+
+
+class TestStagePipeline:
+    def test_line_oracle_matches_solve_off_complete_graphs(self):
+        budget = SearchBudget(restarts=4)
+        compared = 0
+        for k in range(200):
+            inst = _random_line_instance(k)
+            if inst.is_complete():
+                continue
+            compared += 1
+            assert line_oracle(inst, budget=budget).to_dict() == solve(inst, budget).to_dict(), k
+        assert compared >= 150
+
+    @pytest.mark.parametrize("inst", [
+        K3,
+        # the unit square and its image under (x, y) -> (2x + y, y + 1)
+        complete_instance_from_points(SQUARE_PTS, [(0, 1), (2, 1), (1, 2), (3, 2)], 2),
+        *(random_instance(seed, 6, 2, 1.0)[0] for seed in range(3)),
+    ])
+    def test_complete_yes_runs_the_checker_once(self, monkeypatch, inst):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return check_assignment(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "check_assignment", counted)
+        monkeypatch.setattr(importlib.import_module("affeq.reconstruct"),
+                            "check_assignment", counted)
+        v = solve(inst)
+        assert v.kind == YES and v.diagnostics["stage"] == "complete"
+        assert len(calls) == 1
+
+    def test_structure_note_counts_vertices(self):
+        single = Instance(1, 1, (), (), ())
+        v = solve(single)
+        assert v.witness.report.entries[0].note == "1 vertex cannot affinely span dimension 1"
+        assert v.to_dict() == line_oracle(single).to_dict()
+
+    # SHA-256 of pinned_verdict_json, taken before solve and line_oracle
+    # shared one stage list; any change to a stage's output must show here.
+    def test_verdict_json_pinned(self):
+        digest = hashlib.sha256(pinned_verdict_json().encode()).hexdigest()
+        assert digest == (
+            "26d2ca5542661d2dd2880a618f95307194bd8dd18fcedd6d37622b1de284bb95")
 
 
 def test_import_loads_no_scipy():

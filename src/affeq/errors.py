@@ -10,7 +10,15 @@ class InputError(AffeqError, ValueError):
 
 
 class PreconditionError(AffeqError):
-    """A documented precondition of an operation does not hold."""
+    """A documented precondition of an operation does not hold.
+
+    ``report`` is the condition checker's report when the precondition is
+    that an assignment passes the checker, and None otherwise.
+    """
+
+    def __init__(self, message, report=None):
+        self.report = report
+        super().__init__(message)
 
 
 class EmbeddabilityError(AffeqError):

@@ -239,7 +239,8 @@ def reconstruct(inst: Instance, a: Assignment, tol: Tolerances = Tolerances(),
     if not report.passed:
         failure = report.first_failure()
         raise PreconditionError(
-            f"assignment fails condition ({failure.key}) {failure.label}"
+            f"assignment fails condition ({failure.key}) {failure.label}",
+            report=report,
         )
     d = inst.d
     p = embed(a.z, d, rel_eps=tol.rel_eps)

@@ -169,12 +169,75 @@ class Verdict:
         }
 
 
-def least_squares(*args, **kwargs):
-    """``scipy.optimize.least_squares``, imported on first use so that
-    importing the package does not load scipy."""
-    from scipy.optimize import least_squares as solve_least_squares
+@dataclass(frozen=True)
+class LeastSquaresResult:
+    """End point of ``least_squares`` with its residual and Jacobian
+    evaluation counts."""
 
-    return solve_least_squares(*args, **kwargs)
+    x: np.ndarray
+    nfev: int
+    njev: int
+
+
+# Initial damping relative to the largest diagonal entry of J^T J.  Larger
+# values (1e-3 is the textbook choice) strand more restarts in local minima.
+_LM_TAU = 1e-6
+_TINY = float(np.finfo(float).tiny)
+
+
+def least_squares(fun, x0, *, jac, xtol: float, max_nfev: int) -> LeastSquaresResult:
+    """Minimize ``|fun(x)|^2`` from ``x0`` by dense Levenberg-Marquardt.
+
+    Each step solves the damped normal equations ``(J^T J + mu I) h = -J^T r``
+    with ``J = jac(x)``.  The damping follows Nielsen's update (Madsen,
+    Nielsen & Tingleff, IMM-REP-1999-05; More 1978): an improving step
+    shrinks ``mu`` by the gain ratio, a failing one grows it geometrically.
+    Stops after ``max_nfev`` residual evaluations (the start included), when
+    ``|h| <= xtol * (|x| + xtol)``, when the squared residual falls to 1e-30,
+    or when the residual or gradient is non-finite or the gradient vanishes.
+    Works for any number of rows, fewer than unknowns included.
+    """
+    x = np.array(x0, dtype=float)
+    r = fun(x)
+    cost = float(r @ r)
+    nfev, njev = 1, 0
+    eye = np.eye(x.size)
+    mu, nu, fresh = None, 2.0, True
+    while nfev < max_nfev and math.isfinite(cost) and cost > 1e-30:
+        if fresh:
+            J = jac(x)
+            njev += 1
+            A = J.T @ J
+            g = J.T @ r
+            gg = float(g @ g)
+            if not (math.isfinite(gg) and gg > 0):
+                break
+            if mu is None:
+                mu = _LM_TAU * float(A.diagonal().max())
+        try:
+            h = np.linalg.solve(A + mu * eye, -g)
+        except np.linalg.LinAlgError:
+            # the floor keeps an underflowed mu from failing forever
+            mu, nu, fresh = nu * max(mu, _TINY), 2.0 * nu, False
+            continue
+        hh = float(h @ h)
+        if not (math.isfinite(hh)
+                and math.sqrt(hh) > xtol * (math.sqrt(float(x @ x)) + xtol)):
+            break
+        r_new = fun(x + h)
+        nfev += 1
+        cost_new = float(r_new @ r_new)
+        # predicted decrease h^T (mu h - g) > 0; numpy division, so an
+        # underflow to 0 gives inf or nan instead of raising
+        rho = (cost - cost_new) / (h @ (mu * h - g))
+        fresh = rho > 0
+        if fresh:
+            x, r, cost = x + h, r_new, cost_new
+            mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+            nu = 2.0
+        else:
+            mu, nu = mu * nu, 2.0 * nu
+    return LeastSquaresResult(x, nfev, njev)
 
 
 def solve(inst: Instance, budget: Optional[SearchBudget] = None,
@@ -188,9 +251,7 @@ def solve(inst: Instance, budget: Optional[SearchBudget] = None,
     """
     if not isinstance(inst, Instance):
         raise InputError("solve expects an Instance")
-    budget = SearchBudget() if budget is None else budget
-    if not isinstance(budget, SearchBudget):
-        raise InputError("budget must be a SearchBudget")
+    budget = _checked_budget(budget)
     if fixed_left is not None:
         _validate_fixed_left(inst, fixed_left, tol)
         stages = (_structure, _pinned_scan, _fixed_left_precheck, _numeric)
@@ -216,7 +277,14 @@ def line_oracle(inst: Instance, tol: Tolerances = Tolerances(),
         raise InputError("line_oracle expects an Instance")
     if inst.d != 1:
         raise InputError("the line oracle only handles dimension 1")
-    return _decide(_STAGES, inst, budget, tol)
+    return _decide(_STAGES, inst, _checked_budget(budget), tol)
+
+
+def _checked_budget(budget) -> SearchBudget:
+    budget = SearchBudget() if budget is None else budget
+    if not isinstance(budget, SearchBudget):
+        raise InputError("budget must be a SearchBudget")
+    return budget
 
 
 def _decide(stages, inst, budget, tol, fixed_left=None) -> Verdict:
@@ -249,9 +317,12 @@ def numeric_search(inst: Instance, budget: Optional[SearchBudget] = None,
 
     Unknowns are the first framework's points and an affine map; residuals
     are the squared-length gaps on both sides plus a barrier keeping the
-    matrix determinant away from zero.  Returns ``(certificate, diagnostics)``
-    with ``certificate`` None when no restart produced a solution that
-    re-passed the checker and verifier.  Never decides infeasibility.
+    matrix determinant away from zero.  Each restart runs ``least_squares``
+    (Levenberg-Marquardt) from a seeded random start for at most
+    ``budget.iterations`` residual evaluations.  Returns
+    ``(certificate, diagnostics)`` with ``certificate`` None when no restart
+    produced a solution that re-passed the checker and verifier.  Never
+    decides infeasibility.
     """
     budget = SearchBudget() if budget is None else budget
     n, d = inst.n, inst.d
@@ -331,8 +402,7 @@ def numeric_search(inst: Instance, budget: Optional[SearchBudget] = None,
         # gate below rejects them, so keep the numeric noise quiet
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             result = least_squares(residuals, np.concatenate(parts), jac=jacobian,
-                                   method="trf", xtol=1e-15, ftol=None, gtol=None,
-                                   max_nfev=budget.iterations)
+                                   xtol=1e-15, max_nfev=budget.iterations)
         diag["restarts_used"] = index + 1
         if not np.all(np.isfinite(result.x)):
             continue
@@ -541,13 +611,15 @@ def _complete_decision(inst, budget, tol, fixed_left) -> Optional[Verdict]:
     assignment = Assignment(z, z_prime, alpha)
     try:
         p, p_prime, amap = reconstruct(inst, assignment, tol)
-    except PreconditionError:
-        # reconstruct checks the assignment first and raises this only when
-        # that check fails.  The pinned assignment is the only candidate, so
-        # the failure is a NO; its report is built here alone so that a YES
-        # passes the checker once.
-        return _refuted("complete", "complete-pinned",
-                        check_assignment(inst, assignment, tol))
+    except PreconditionError as err:
+        # reconstruct checks the assignment first and raises this, with the
+        # checker's report, when that check fails.  The pinned assignment is
+        # the only candidate, so the failure is a NO.  An error from inside
+        # the checker carries no report, so the check runs again for one.
+        report = err.report
+        if report is None:
+            report = check_assignment(inst, assignment, tol)
+        return _refuted("complete", "complete-pinned", report)
     except (EmbeddabilityError, ReconstructionError, NoBaseSimplexError):
         return None
     cert = Certificate(assignment, p, p_prime, amap)

@@ -7,6 +7,9 @@ without any error.  This reads the benchmark's table and changes nothing.
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -47,3 +50,28 @@ def test_exact_determinants_call_the_traced_binding(monkeypatch):
     cmd(D, (0, 1, 2))
     quadratic_slice(D, (0, 1, 2), (0, 1))
     assert sizes == [4, 4, 2, 3]
+
+
+def test_traced_search_records_the_least_squares_seam():
+    # In a subprocess, so the tracer's wrappers stay out of every other test.
+    code = (
+        "import importlib.util, sys\n"
+        f"spec = importlib.util.spec_from_file_location('bench_tracing', {str(TRACING)!r})\n"
+        "tracing = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(tracing)\n"
+        "import affeq\n"
+        "tracer = tracing.Tracer()\n"
+        "tracer.install()\n"
+        "inst = affeq.random_instance(0, 8, 2, 0.5)[0]\n"
+        "tracer.on = True\n"
+        "v = affeq.solve(inst)\n"
+        "tracer.on = False\n"
+        "assert v.kind == 'YES' and v.diagnostics['stage'] == 'numeric'\n"
+        "assert tracer.counts['solver.least_squares.nfev'] > 0\n"
+        "assert tracer.counts['solver.least_squares.njev'] > 0\n"
+        "names = {span[2] for span in tracer.spans}\n"
+        "assert {'solver.least_squares.fun', 'solver.least_squares.jac'} <= names, names\n"
+    )
+    src = TRACING.parent.parent / "src"
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env=dict(os.environ, PYTHONPATH=str(src)))

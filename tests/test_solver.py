@@ -26,6 +26,7 @@ from affeq.solver import (
     Certificate,
     SearchBudget,
     Verdict,
+    least_squares,
     line_oracle,
     numeric_search,
     random_instance,
@@ -581,6 +582,104 @@ def test_import_loads_no_scipy():
         "assert not loaded()\n"
         "v = affeq.solve(affeq.random_instance(0, 6, 2, 1.0)[0])\n"
         "assert v.diagnostics['stage'] == 'complete' and not loaded()\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env=dict(os.environ, PYTHONPATH=str(src)))
+
+
+def test_line_oracle_rejects_non_budget():
+    # 19 tree edges exceed the enumeration cap, so the budget would reach the
+    # numeric stage; it is rejected up front, as solve rejects it.
+    path = Instance.from_lengths(20, 1, {(i, i + 1): (i + 1, 2 * (i + 1)) for i in range(19)})
+    with pytest.raises(InputError, match="budget must be a SearchBudget"):
+        line_oracle(path, budget=7)
+
+
+def test_complete_no_runs_the_checker_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return check_assignment(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "check_assignment", counted)
+    monkeypatch.setattr(importlib.import_module("affeq.reconstruct"),
+                        "check_assignment", counted)
+    v = solve(K4_PAIR)
+    assert v.kind == NO and v.witness.source == "complete-pinned"
+    assert len(calls) == 1
+
+
+def counted_problem(fun, jac):
+    """``fun`` and ``jac`` wrapped to count their calls."""
+    calls = {"fun": 0, "jac": 0}
+
+    def f(x):
+        calls["fun"] += 1
+        return fun(x)
+
+    def j(x):
+        calls["jac"] += 1
+        return jac(x)
+
+    return f, j, calls
+
+
+class TestLeastSquares:
+    def test_underdetermined_consistent_problem(self):
+        # two rows, three unknowns: the unit sphere cut by the plane x0 = x1
+        def fun(x):
+            return np.array([x @ x - 1.0, x[0] - x[1]])
+
+        def jac(x):
+            return np.array([2.0 * x, [1.0, -1.0, 0.0]])
+
+        for x0 in ([2.0, 0.0, 1.0], [0.1, -0.3, 0.2], [-1.0, 3.0, -2.0]):
+            result = least_squares(fun, np.array(x0), jac=jac, xtol=1e-15, max_nfev=100)
+            r = fun(result.x)
+            assert r @ r < 1e-20, x0
+
+    def test_square_problem(self):
+        # Rosenbrock's valley as residuals, from the classic start
+        def fun(x):
+            return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+
+        def jac(x):
+            return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
+
+        result = least_squares(fun, np.array([-1.2, 1.0]), jac=jac,
+                               xtol=1e-15, max_nfev=200)
+        r = fun(result.x)
+        assert r @ r < 1e-20
+        np.testing.assert_allclose(result.x, [1.0, 1.0], rtol=1e-10)
+
+    @pytest.mark.parametrize("max_nfev", [1, 2, 5, 40])
+    def test_counts_respect_max_nfev(self, monkeypatch, max_nfev):
+        # the search's own residuals on an infeasible instance never converge
+        fun, jac, size = search_functions(monkeypatch, LONG_CYCLE)
+        f, j, calls = counted_problem(fun, jac)
+        x0 = np.random.default_rng(3).normal(size=size)
+        result = least_squares(f, x0, jac=j, xtol=1e-15, max_nfev=max_nfev)
+        assert type(result.nfev) is int and type(result.njev) is int
+        assert result.nfev == calls["fun"] <= max_nfev
+        assert result.njev == calls["jac"]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_start_returns(self, bad):
+        f, j, calls = counted_problem(lambda x: np.array([bad, 0.0]),
+                                      lambda x: np.ones((2, 2)))
+        result = least_squares(f, np.array([1.0, 2.0]), jac=j, xtol=1e-15, max_nfev=50)
+        assert (result.nfev, result.njev) == (1, 0)
+        assert np.array_equal(result.x, [1.0, 2.0])
+
+
+def test_numeric_search_loads_no_scipy():
+    code = (
+        "import affeq, sys\n"
+        "v = affeq.solve(affeq.random_instance(0, 8, 2, 0.5)[0])\n"
+        "assert v.kind == 'YES' and v.diagnostics['stage'] == 'numeric'\n"
+        "assert not any(m.startswith('scipy') for m in sys.modules)\n"
     )
     src = Path(__file__).resolve().parent.parent / "src"
     subprocess.run([sys.executable, "-c", code], check=True,

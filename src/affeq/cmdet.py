@@ -114,7 +114,7 @@ class SquaredDistanceMatrix:
         return isinstance(other, SquaredDistanceMatrix) and self.z == other.z
 
     def __hash__(self):
-        return hash(self.z)
+        return hash(tuple(self.z))
 
     def __repr__(self):
         return f"SquaredDistanceMatrix(n={self.n}, exact={self.exact})"

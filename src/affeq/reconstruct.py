@@ -2,11 +2,13 @@
 
 Once an assignment has passed the feasibility checker, both squared-distance
 matrices are embeddable and the two embeddings are related by an invertible
-affine map.  This module builds that map from a base-simplex correspondence,
-repairs the reflection ambiguity left open by the embedding gauge, and
-verifies the four defining properties of an equivalent framework pair:
-matching edge lengths on both sides, pointwise agreement under the map, and
-a full-dimensional affine hull.
+affine map.  This module fits that map once, from a base-simplex
+correspondence: the embedding gauge fixes coordinates only up to an
+isometry, and composing the map with an isometry of the second framework
+changes no residual, so no reflected retry is needed.  It also verifies the
+four defining properties of an equivalent framework pair: matching edge
+lengths on both sides, pointwise agreement under the map, and a
+full-dimensional affine hull.
 """
 
 from dataclasses import dataclass
@@ -16,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cmdet import SquaredDistanceMatrix, cmd, simplex_volume_sq
+from .cmdet import cmd
 from .embedding import Configuration, distances_of, embed
 from .errors import InputError, PreconditionError, ReconstructionError
 from .linalg import det_any, is_exact_value, solve_exact
@@ -228,12 +230,15 @@ def reconstruct(inst: Instance, a: Assignment, tol: Tolerances = Tolerances(),
                 decisions: str = "auto"):
     """Build configurations and the affine map realizing a checked assignment.
 
-    Embeds both matrices, maps the base simplex of the first embedding onto
-    the corresponding points of the second, and if the residual is large
-    retries with the second embedding reflected (the embedding gauge fixes
-    coordinates only up to an isometry, which includes a reflection).  The
-    winning map must place every vertex within 1e-6 of the corresponding
-    point, relative to the diameter.
+    Embeds both matrices and maps the base simplex of the first embedding
+    onto the corresponding points of the second.  One fit suffices: d+1
+    affinely independent points fix the map, and the embedding gauge only
+    composes it with an isometry of the second framework, which leaves
+    every residual below unchanged.  Raises ``ReconstructionError`` unless
+    the map places every vertex on its target, the map's determinant
+    squared matches ``alpha``, and the second embedding reproduces every
+    entry of ``z_prime``.  Each check allows 1e-6: of ``alpha`` for the
+    determinant, of the second framework's diameter for the distances.
     """
     report = check_assignment(inst, a, tol, decisions)
     if not report.passed:
@@ -244,24 +249,20 @@ def reconstruct(inst: Instance, a: Assignment, tol: Tolerances = Tolerances(),
         )
     d = inst.d
     p = embed(a.z, d, rel_eps=tol.rel_eps)
-    p_prime = embed(a.z_prime, d, rel_eps=tol.rel_eps)
+    q = embed(a.z_prime, d, rel_eps=tol.rel_eps)
     base = report.base_simplex
+    amap = affine_from_simplex([p.points[i] for i in base],
+                               [q.points[i] for i in base])
 
-    src = [p.points[i] for i in base]
-    candidates = []
-    for flip in (False, True):
-        q = _reflect_first_axis(p_prime) if flip else p_prime
-        dst = [q.points[i] for i in base]
-        amap = affine_from_simplex(src, dst)
-        residual = _map_residual(p, q, amap)
-        candidates.append((residual, flip, q, amap))
-    residual, flip, q, amap = min(candidates, key=lambda item: item[0])
-
-    scale_prime = max(q.diameter(), 1e-30)
-    if residual > 1e-6 * scale_prime:
+    arr_q = q.as_array()
+    dist = np.linalg.norm(arr_q[:, None, :] - arr_q[None, :, :], axis=2)
+    scale = max(float(dist.max()), 1e-30)
+    mapped = np.array([[float(x) for x in amap.apply_point(pt)] for pt in p.points])
+    residual = float(np.max(np.linalg.norm(mapped - arr_q, axis=1)))
+    if residual > 1e-6 * scale:
         raise ReconstructionError(
             f"mapped points miss their targets by {residual:.3e} "
-            f"(diameter {scale_prime:.3e}); the checker and the embedding "
+            f"(diameter {scale:.3e}); the checker and the embedding "
             "tolerances are inconsistent for this input"
         )
 
@@ -272,61 +273,16 @@ def reconstruct(inst: Instance, a: Assignment, tol: Tolerances = Tolerances(),
             f"map determinant squared {det_sq} disagrees with alpha {alpha_f}"
         )
 
-    _assert_heights(a, base, d, p, q, amap)
+    demanded = np.sqrt(np.maximum(a.z_prime.as_array(), 0.0))
+    gaps = np.abs(dist - demanded)
+    i, j = np.unravel_index(int(np.argmax(gaps)), gaps.shape)
+    if gaps[i, j] > 1e-6 * scale:
+        raise ReconstructionError(
+            f"vertices {min(i, j)} and {max(i, j)} of the second framework are "
+            f"{dist[i, j]:.9e} apart but the distance data demands "
+            f"{demanded[i, j]:.9e}"
+        )
     return p, q, amap
-
-
-def _reflect_first_axis(c: Configuration) -> Configuration:
-    pts = [(-pt[0],) + tuple(pt[1:]) for pt in c.points]
-    return Configuration(c.dim, pts)
-
-
-def _map_residual(p: Configuration, q: Configuration, amap: AffineMap) -> float:
-    mapped = np.array([[float(x) for x in amap.apply_point(pt)] for pt in p.points])
-    return float(np.max(np.linalg.norm(mapped - q.as_array(), axis=1)))
-
-
-def _assert_heights(a: Assignment, base, d, p: Configuration, q: Configuration,
-                    amap: AffineMap):
-    """Cross-check mapped points against face heights from the distance data.
-
-    The distance from a vertex to the hyperplane through a face of the base
-    simplex is determined by squared distances alone: a simplex of d+1
-    points has volume vol_{d-1}(face) * height / d, so the height is
-    d * vol_d / vol_{d-1}.  Every mapped vertex must sit at exactly that
-    distance from the corresponding face hyperplane of the second
-    embedding; a mismatch means the embeddings and the map disagree.
-    """
-    arr_q = q.as_array()
-    scale = max(q.diameter(), 1e-30)
-    for j in range(a.z.n):
-        if j in base:
-            continue
-        x = np.array([float(v) for v in amap.apply_point(p.points[j])])
-        for i_r in base:
-            face = tuple(i for i in base if i != i_r)
-            if d == 1:
-                face_vol_sq = 1.0  # a single point has unit 0-volume
-            else:
-                face_vol_sq = float(simplex_volume_sq(a.z_prime, face))
-            if face_vol_sq <= 0:
-                continue
-            joint = tuple(sorted(face + (j,)))
-            joint_vol_sq = max(float(simplex_volume_sq(a.z_prime, joint)), 0.0)
-            expected = d * np.sqrt(joint_vol_sq) / np.sqrt(face_vol_sq)
-            anchor = arr_q[face[0]]
-            w = x - anchor
-            if d == 1:
-                dist = abs(float(w[0]))
-            else:
-                E = (arr_q[list(face[1:])] - anchor).T
-                coeffs, *_ = np.linalg.lstsq(E, w, rcond=None)
-                dist = float(np.linalg.norm(w - E @ coeffs))
-            if abs(dist - expected) > 1e-6 * scale:
-                raise ReconstructionError(
-                    f"vertex {j} sits {dist:.9e} from face {face} of the base "
-                    f"simplex but the distance data demands {expected:.9e}"
-                )
 
 
 def certificate_alpha(amap: AffineMap):

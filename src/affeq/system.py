@@ -292,7 +292,7 @@ def estimate_alpha(z, z_prime, base, rel_eps: float = 1e-9):
 class ConditionEntry:
     key: str
     passed: bool
-    witness: Optional[dict] = None
+    witness: Optional[dict] = field(default=None, hash=False)
     residual: object = 0
     note: Optional[str] = None
 

@@ -61,6 +61,12 @@ class TestMatrixValidation:
         assert TRIANGLE_345.exact
         assert not TRIANGLE_345_F.exact
 
+    def test_equal_matrices_hash_equal(self):
+        a = SquaredDistanceMatrix([[0, 9, 25], [9, 0, 16], [25, 16, 0]])
+        b = SquaredDistanceMatrix.from_pairs(3, {(0, 1): 9, (1, 2): 16, (0, 2): 25})
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, TRIANGLE_345}) == 1
+
 
 class TestCmd:
     def test_single_point(self):

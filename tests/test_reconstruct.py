@@ -1,3 +1,4 @@
+import importlib
 import math
 from fractions import Fraction
 
@@ -5,8 +6,8 @@ import numpy as np
 import pytest
 
 from affeq.cmdet import SquaredDistanceMatrix
-from affeq.embedding import Configuration, distances_of
-from affeq.errors import InputError, PreconditionError
+from affeq.embedding import Configuration, distances_of, embed
+from affeq.errors import InputError, PreconditionError, ReconstructionError
 from affeq.reconstruct import (
     AffineMap,
     affine_from_simplex,
@@ -14,7 +15,8 @@ from affeq.reconstruct import (
     reconstruct,
     verify_problem1,
 )
-from affeq.system import Assignment, Instance
+from affeq.solver import random_instance
+from affeq.system import Assignment, Instance, check_assignment
 
 from helpers import squared_distance_rows
 
@@ -219,6 +221,49 @@ class TestReconstruct:
         assert _max_gap(amap.apply(p), q) <= 1e-9 * max(q.diameter(), 1.0)
         report = verify_problem1(inst, p, q, amap)
         assert report.passed
+
+
+class TestReconstructFailures:
+    """Embeddings that disagree with the distance data are rejected.
+
+    ``embed`` is replaced by one returning tampered frameworks; vertex j
+    lies outside the base simplex, so the map is still fitted exactly.
+    """
+
+    def tampered(self, monkeypatch, tamper):
+        inst, planted = random_instance(0, 6, 2, 1.0)
+        a = planted.assignment
+        base = check_assignment(inst, a).base_simplex
+        j = next(v for v in range(inst.n) if v not in base)
+        p, q = embed(a.z, inst.d), embed(a.z_prime, inst.d)
+        B = np.asarray(affine_from_simplex([p.points[i] for i in base],
+                                           [q.points[i] for i in base]).matrix)
+        e = np.full(inst.d, 0.1 * q.diameter())
+        p_arr, q_arr = tamper(p.as_array(), q.as_array(), j, e, B)
+        frameworks = {id(a.z): Configuration.from_array(p_arr),
+                      id(a.z_prime): Configuration.from_array(q_arr)}
+        monkeypatch.setattr(importlib.import_module("affeq.reconstruct"), "embed",
+                            lambda D, d, **kw: frameworks[id(D)])
+        return inst, a
+
+    def test_moved_target_misses_the_map(self, monkeypatch):
+        def tamper(p, q, j, e, B):
+            q[j] += e
+            return p, q
+
+        inst, a = self.tampered(monkeypatch, tamper)
+        with pytest.raises(ReconstructionError, match="miss their targets"):
+            reconstruct(inst, a)
+
+    def test_consistent_move_misses_the_distances(self, monkeypatch):
+        def tamper(p, q, j, e, B):
+            p[j] += e
+            q[j] += B @ e
+            return p, q
+
+        inst, a = self.tampered(monkeypatch, tamper)
+        with pytest.raises(ReconstructionError, match="distance data demands"):
+            reconstruct(inst, a)
 
 
 def _max_gap(a: Configuration, b: Configuration) -> float:

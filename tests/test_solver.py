@@ -98,6 +98,17 @@ class TestVerdictTypes:
         assert set(doc) == {"alpha", "points", "points_prime", "map", "z", "z_prime"}
         assert len(doc["points"]) == 3 and len(doc["points"][0]) == 2
 
+    def test_verdicts_hash(self):
+        inst, _ = random_instance(0, 6, 2, 1.0)
+        lam_prime = (inst.lam_prime[0] * 1.3,) + inst.lam_prime[1:]
+        twin = Instance(inst.n, inst.d, inst.edges, inst.lam, lam_prime)
+        yes, no = solve(inst), solve(twin)
+        assert yes.kind == YES
+        assert no.kind == NO and no.witness.source == "complete-pinned"
+        assert any(e.witness is not None for e in no.witness.report.entries)
+        assert hash(yes) == hash(solve(inst))
+        assert hash(no) == hash(solve(twin))
+
 
 class TestSolveComplete:
     def test_similar_triangles_yes(self):

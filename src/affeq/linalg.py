@@ -115,24 +115,6 @@ def det_any(rows):
     return float(np.linalg.det(np.asarray(rows, dtype=float)))
 
 
-def det_gradient(mat: np.ndarray) -> np.ndarray:
-    """Gradient of det w.r.t. each entry, i.e. the transposed adjugate.
-
-    Computed from cofactors so it stays finite at singular matrices.
-    """
-    mat = np.asarray(mat, dtype=float)
-    d = mat.shape[0]
-    if d == 1:
-        return np.ones((1, 1))
-    grad = np.empty((d, d))
-    idx = np.arange(d)
-    for i in range(d):
-        for j in range(d):
-            minor = mat[np.ix_(idx != i, idx != j)]
-            grad[i, j] = (-1.0) ** (i + j) * np.linalg.det(minor)
-    return grad
-
-
 def bordered_matrix(z, index_set):
     """Bordered squared-distance determinant matrix for a point subset.
 

@@ -226,8 +226,7 @@ def verify_problem1(inst: Instance, p: Configuration, p_prime: Configuration,
     )
 
 
-def reconstruct(inst: Instance, a: Assignment, tol: Tolerances = Tolerances(),
-                decisions: str = "auto"):
+def reconstruct(inst: Instance, a: Assignment, tol: Tolerances = Tolerances()):
     """Build configurations and the affine map realizing a checked assignment.
 
     Embeds both matrices and maps the base simplex of the first embedding
@@ -240,7 +239,7 @@ def reconstruct(inst: Instance, a: Assignment, tol: Tolerances = Tolerances(),
     entry of ``z_prime``.  Each check allows 1e-6: of ``alpha`` for the
     determinant, of the second framework's diameter for the distances.
     """
-    report = check_assignment(inst, a, tol, decisions)
+    report = check_assignment(inst, a, tol)
     if not report.passed:
         failure = report.first_failure()
         raise PreconditionError(

@@ -47,7 +47,7 @@ from .errors import (
     RatioSignError,
     ReconstructionError,
 )
-from .linalg import det_gradient, to_fraction
+from .linalg import to_fraction
 from .reconstruct import AffineMap, reconstruct, verify_problem1
 from .system import (
     Assignment,
@@ -65,7 +65,8 @@ YES = "YES"
 NO = "NO"
 UNKNOWN = "UNKNOWN"
 
-# Invertibility margin enforced on the searched matrix.
+# Smallest |det| of the searched map's linear part that the numeric
+# search accepts.
 DET_BARRIER = 1e-3
 # Largest number of same-size subsets the pinned-subsystem scan will visit.
 _CLIQUE_SCAN_CAP = 20000
@@ -315,11 +316,13 @@ def numeric_search(inst: Instance, budget: Optional[SearchBudget] = None,
                    fixed_left: Optional[Configuration] = None):
     """Multistart least-squares search for an explicit certificate.
 
-    Unknowns are the first framework's points and an affine map; residuals
-    are the squared-length gaps on both sides plus a barrier keeping the
-    matrix determinant away from zero.  Each restart runs ``least_squares``
-    (Levenberg-Marquardt) from a seeded random start for at most
-    ``budget.iterations`` residual evaluations.  Returns
+    Unknowns are the first framework's points (none with ``fixed_left``)
+    and the linear part ``B`` of the affine map; residuals are the
+    squared-length gaps on both sides.  The map's shift is zero: no length
+    depends on it.  Each restart runs ``least_squares`` (Levenberg-Marquardt)
+    from a seeded random start for at most ``budget.iterations`` residual
+    evaluations; a restart is accepted only if every gap is within
+    ``budget.target`` and ``|det B| >= DET_BARRIER``.  Returns
     ``(certificate, diagnostics)`` with ``certificate`` None when no restart
     produced a solution that re-passed the checker and verifier.  Never
     decides infeasibility.
@@ -329,7 +332,7 @@ def numeric_search(inst: Instance, budget: Optional[SearchBudget] = None,
     k = len(inst.edges)
     diag = {"stage": "numeric", "restarts_used": 0, "best_residual": math.inf}
     if n < d + 1:
-        diag["note"] = "too few vertices"
+        diag.update(best_residual=None, note="too few vertices")
         return None, diag
     if k == 0 and fixed_left is None:
         cert = _spread_certificate(inst)
@@ -346,38 +349,35 @@ def numeric_search(inst: Instance, budget: Optional[SearchBudget] = None,
     jj = np.asarray([e[1] for e in inst.edges], dtype=int)
     fixed = None if fixed_left is None else fixed_left.as_array() / c
     npos = 0 if fixed is not None else n * d
-    nvar = npos + d * d + d
+    nvar = npos + d * d
     # Jacobian layout: edge a's endpoints own columns ci[a] and cj[a]; its
     # residuals are rows rows1[a] (first side, absent when the first
-    # framework is fixed) and rows2[a]; the barrier is the last row.
+    # framework is fixed) and rows2[a].
     ci = ii[:, None] * d + np.arange(d)
     cj = jj[:, None] * d + np.arange(d)
     off = 0 if fixed is not None else k
     rows1 = np.arange(k)[:, None]
     rows2 = rows1 + off
-    maps = slice(npos, npos + d * d)
 
     def split(theta):
         p = fixed if fixed is not None else theta[:npos].reshape(n, d)
-        return p, theta[npos:npos + d * d].reshape(d, d)
+        return p, theta[npos:].reshape(d, d)
 
     def residuals(theta):
         p, B = split(theta)
         u = p[ii] - p[jj]
         w = u @ B.T
         r2 = (w * w).sum(axis=1) - lamp2
-        bar = max(0.0, DET_BARRIER - abs(float(np.linalg.det(B))))
         if fixed is not None:
-            return np.concatenate([r2, [bar]])
-        r1 = (u * u).sum(axis=1) - lam2
-        return np.concatenate([r1, r2, [bar]])
+            return r2
+        return np.concatenate([(u * u).sum(axis=1) - lam2, r2])
 
     def jacobian(theta):
         p, B = split(theta)
         u = p[ii] - p[jj]
         w = u @ B.T
-        J = np.zeros((off + k + 1, nvar))
-        J[off:off + k, maps] = 2.0 * (w[:, :, None] * u[:, None, :]).reshape(k, d * d)
+        J = np.zeros((off + k, nvar))
+        J[off:, npos:] = 2.0 * (w[:, :, None] * u[:, None, :]).reshape(k, d * d)
         if fixed is None:
             g = 2.0 * u
             J[rows1, ci] = g
@@ -385,9 +385,6 @@ def numeric_search(inst: Instance, budget: Optional[SearchBudget] = None,
             g = 2.0 * (w @ B)
             J[rows2, ci] = g
             J[rows2, cj] = -g
-        det = float(np.linalg.det(B))
-        if DET_BARRIER - abs(det) > 0:
-            J[-1, maps] = -math.copysign(1.0, det) * det_gradient(B).ravel()
         return J
 
     for index in range(budget.restarts):
@@ -396,7 +393,6 @@ def numeric_search(inst: Instance, budget: Optional[SearchBudget] = None,
         if fixed is None:
             parts.append(rng.normal(size=n * d))
         parts.append((np.eye(d) + 0.5 * rng.normal(size=(d, d))).ravel())
-        parts.append(0.5 * rng.normal(size=d))
         # infeasible instances drive the optimizer into degenerate regions;
         # non-finite intermediates are expected there and the acceptance
         # gate below rejects them, so keep the numeric noise quiet
@@ -417,11 +413,9 @@ def numeric_search(inst: Instance, budget: Optional[SearchBudget] = None,
         if worst > budget.target or abs(det) < DET_BARRIER:
             continue
         p_orig = fixed_left.as_array() if fixed is not None else p * c
-        B_orig = (cp / c) * B
-        b_orig = cp * result.x[npos + d * d:]
         if np.linalg.matrix_rank(p_orig - p_orig[0]) < d:
             continue
-        cert = _certificate_from_arrays(inst, p_orig, B_orig, b_orig)
+        cert = _certificate_from_arrays(inst, p_orig, (cp / c) * B, np.zeros(d))
         if _verified(inst, cert, tol):
             return cert, diag
     return None, diag
@@ -488,7 +482,7 @@ def _structure(inst, budget, tol, fixed_left) -> Optional[Verdict]:
         return None
     noun = "vertex" if inst.n == 1 else "vertices"
     return _refuted("structure", "structure", ConditionEntry(
-        "9", False, None, math.inf,
+        "9", False, None, float(inst.d + 1 - inst.n),
         note=f"{inst.n} {noun} cannot affinely span dimension {inst.d}"))
 
 

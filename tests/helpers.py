@@ -6,7 +6,6 @@ classification.  These are the references the library is checked against, so
 they must not reuse the library's own evaluation paths.
 """
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -101,27 +100,21 @@ def random_rational_sdm_rows(rng, n, lo=1, hi=40, den=5):
     return z
 
 
-def loop_jacobian(theta, ii, jj, n, d, fixed, barrier):
+def loop_jacobian(theta, ii, jj, n, d, fixed):
     """Jacobian of the numeric search's residuals, one edge at a time.
 
     The per-edge loop the vectorised ``numeric_search`` Jacobian replaced,
     kept as its bitwise reference: same products in the same order.
     ``fixed`` is the first framework (already scaled) or None when its
-    coordinates are unknowns; ``barrier`` is the determinant margin.  The
-    barrier row calls the library's ``det_gradient`` so that the comparison
-    stays bitwise.
+    coordinates are unknowns.
     """
-    from affeq.linalg import det_gradient
-
     k = len(ii)
     npos = 0 if fixed is not None else n * d
-    nvar = npos + d * d + d
     p = fixed if fixed is not None else theta[:npos].reshape(n, d)
-    B = theta[npos:npos + d * d].reshape(d, d)
+    B = theta[npos:].reshape(d, d)
     u = p[ii] - p[jj]
     w = u @ B.T
-    rows = (k if fixed is not None else 2 * k) + 1
-    J = np.zeros((rows, nvar))
+    J = np.zeros((k if fixed is not None else 2 * k, npos + d * d))
     row = 0
     if fixed is None:
         for a in range(k):
@@ -130,16 +123,12 @@ def loop_jacobian(theta, ii, jj, n, d, fixed, barrier):
             J[row, jj[a] * d:(jj[a] + 1) * d] = -g
             row += 1
     for a in range(k):
-        J[row, npos:npos + d * d] = 2.0 * np.outer(w[a], u[a]).ravel()
+        J[row, npos:] = 2.0 * np.outer(w[a], u[a]).ravel()
         if fixed is None:
             g = 2.0 * (B.T @ w[a])
             J[row, ii[a] * d:(ii[a] + 1) * d] = g
             J[row, jj[a] * d:(jj[a] + 1) * d] = -g
         row += 1
-    det = float(np.linalg.det(B))
-    if barrier - abs(det) > 0:
-        J[row, npos:npos + d * d] = (
-            -math.copysign(1.0, det) * det_gradient(B).ravel())
     return J
 
 

@@ -81,6 +81,17 @@ class TestSolveCommand:
         assert code == EXIT_UNKNOWN
         assert json.loads(out)["verdict"] == "UNKNOWN"
 
+    def test_structure_no_is_strict_json(self, runner):
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        path = runner.write("pair.txt", "dim 3\nvertices 2\nedge 0 1 1 2\n")
+        code, out, err = runner(["solve", path])
+        assert code == EXIT_NO
+        report = json.loads(out, parse_constant=reject)
+        failing = report["witness"]["report"]["conditions"][0]
+        assert (failing["condition"], failing["residual"]) == ("9", 2.0)
+
     def test_check_accepts_emitted_certificate(self, runner):
         cert_path = str(runner.tmp_path / "cert.txt")
         code, out, err = runner(["solve", runner.write("k3.txt", K3_TEXT),

@@ -6,6 +6,7 @@ classification.  These are the references the library is checked against, so
 they must not reuse the library's own evaluation paths.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -161,3 +162,93 @@ def fraction_bareiss(rows):
             a[i][k] = Fraction(0)
         prev = pivot
     return sign * a[n - 1][n - 1]
+
+
+
+def _spanning_edges(rng, n, density):
+    """A random spanning tree plus each other pair with probability density."""
+    perm = rng.permutation(n)
+    edges = {tuple(sorted((int(perm[t]), int(perm[rng.integers(0, t)]))))
+             for t in range(1, n)}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (i, j) not in edges and rng.random() < density:
+                edges.add((i, j))
+    return sorted(edges)
+
+
+def _corrupted(rng, n, edges, z, zp, factor):
+    """Copies of both sides with one free entry of one side times factor."""
+    free = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in edges]
+    i, j = free[rng.integers(len(free))]
+    z, zp = [list(row) for row in z], [list(row) for row in zp]
+    side = z if rng.integers(2) == 0 else zp
+    side[i][j] = side[j][i] = factor * side[i][j]
+    return z, zp
+
+
+def check_report_corpus(seed=0):
+    """Seeded inputs for the checker's report digest.
+
+    Returns ``(n, d, lengths, z, z_prime, alpha, decisions)`` tuples:
+    ``lengths`` maps each edge to its two lengths and ``z``, ``z_prime`` are
+    row lists for ``SquaredDistanceMatrix(..., allow_negative=True)``.  The
+    corpus holds float planted assignments at n 8-14 and d 2-3, the same
+    with one free squared distance times 1.5 on one side, integer-lattice
+    assignments (planted and corrupted) under both decision policies, one
+    assignment with an infinite entry, one with a negative entry and a wrong
+    pinned length, and one with every point on a line.
+    """
+    rng = np.random.default_rng(seed)
+    cases = []
+    for n, d in [(8, 2), (9, 3), (11, 2), (12, 3), (14, 2), (14, 3)]:
+        p = rng.normal(size=(n, d))
+        B = np.eye(d) + 0.5 * rng.normal(size=(d, d))
+        q = p @ B.T + rng.normal(size=d)
+        z = ((p[:, None, :] - p[None, :, :]) ** 2).sum(axis=2).tolist()
+        zp = ((q[:, None, :] - q[None, :, :]) ** 2).sum(axis=2).tolist()
+        alpha = float(np.linalg.det(B)) ** 2
+        edges = _spanning_edges(rng, n, 0.5)
+        lengths = {(i, j): (math.sqrt(z[i][j]), math.sqrt(zp[i][j])) for i, j in edges}
+        cases.append((n, d, lengths, z, zp, alpha, "auto"))
+        cases.append((n, d, lengths, *_corrupted(rng, n, edges, z, zp, 1.5), alpha, "auto"))
+        if (n, d) == (9, 3):
+            bad = [list(row) for row in z]
+            bad[0][n - 1] = bad[n - 1][0] = math.inf
+            cases.append((n, d, lengths, bad, zp, alpha, "auto"))
+        if (n, d) == (11, 2):
+            # a negative free entry, a wrong pinned length, and the points
+            # flattened onto a line on both sides
+            bad = [list(row) for row in z]
+            i, j = next((i, j) for i in range(n) for j in range(i + 1, n)
+                        if (i, j) not in lengths)
+            bad[i][j] = bad[j][i] = -bad[i][j]
+            wrong = dict(lengths)
+            wrong[edges[0]] = (1.1 * lengths[edges[0]][0], lengths[edges[0]][1])
+            cases.append((n, d, wrong, bad, zp, alpha, "auto"))
+            x = p[:, :1]
+            line = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2).tolist()
+            flat = {(i, j): (math.sqrt(line[i][j]), 2 * math.sqrt(line[i][j]))
+                    for i, j in edges}
+            cases.append((n, d, flat, line, [[4 * v for v in row] for row in line],
+                          16.0, "auto"))
+
+    # Integer points under an integer diagonal map: pairs that differ in
+    # one coordinate have integer lengths on both sides and become edges.
+    for n, d in [(8, 2), (9, 2), (8, 3)]:
+        cells = rng.choice(4**d, size=n, replace=False)
+        p = [[int(c) // 4**k % 4 for k in range(d)] for c in cells]
+        b = rng.integers(1, 4, size=d).tolist()
+        q = [[c * s for c, s in zip(row, b)] for row in p]
+        z = squared_distance_rows(p)
+        zp = squared_distance_rows(q)
+        alpha = math.prod(b) ** 2
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+                 if sum(x != y for x, y in zip(p[i], p[j])) == 1]
+        lengths = {(i, j): (math.isqrt(z[i][j]), math.isqrt(zp[i][j])) for i, j in edges}
+        for decisions in ("auto", "tolerant"):
+            cases.append((n, d, lengths, z, zp, alpha, decisions))
+            cases.append((n, d, lengths,
+                          *_corrupted(rng, n, edges, z, zp, Fraction(3, 2)),
+                          alpha, decisions))
+    return cases

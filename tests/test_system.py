@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -24,7 +25,12 @@ from affeq.system import (
     find_base_simplex,
 )
 
-from helpers import cofactor_det, random_rational, squared_distance_rows
+from helpers import (
+    check_report_corpus,
+    cofactor_det,
+    random_rational,
+    squared_distance_rows,
+)
 
 
 def sdm(pairs, n, **kw):
@@ -413,3 +419,36 @@ class TestReportShape:
     def test_bad_decisions_flag(self):
         with pytest.raises(InputError):
             check_assignment(K3, Assignment(Z_345, Z_6810, 16), decisions="fast")
+
+
+def _rounded(value):
+    """Floats to 12 significant digits: the last bits of a LAPACK
+    determinant depend on the BLAS build and the CPU it dispatches to."""
+    if isinstance(value, float):
+        return float(f"{value:.12g}")
+    if isinstance(value, dict):
+        return {k: _rounded(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_rounded(v) for v in value]
+    return value
+
+
+def pinned_report_json():
+    """Report JSON of check_assignment over ``helpers.check_report_corpus``."""
+    reports = []
+    for n, d, lengths, z, zp, alpha, decisions in check_report_corpus():
+        inst = Instance.from_lengths(n, d, lengths)
+        a = Assignment(SquaredDistanceMatrix(z, allow_negative=True),
+                       SquaredDistanceMatrix(zp, allow_negative=True), alpha)
+        with np.errstate(invalid="ignore"):
+            doc = check_assignment(inst, a, decisions=decisions).to_dict()
+        reports.append(json.dumps(_rounded(doc), sort_keys=True))
+    return "\n".join(reports)
+
+
+# SHA-256 of pinned_report_json; any change to a family's verdict, witness
+# or residual must show here.
+def test_check_report_json_pinned():
+    digest = hashlib.sha256(pinned_report_json().encode()).hexdigest()
+    assert digest == (
+        "7de0e6c6715a6df22ea2bd9028e70c6e4c674e012da2ddc29213ec77854d33f7")

@@ -7,8 +7,11 @@ which side of a facet hyperplane two points lie.  Everything here is a pure
 function of a :class:`SquaredDistanceMatrix`; no coordinates are needed.
 
 One rule governs arithmetic throughout the package.  Evaluation follows the
-data's type: determinants of an all-rational matrix are exact ``Fraction``
-values, anything else is evaluated in double precision.  Exact evaluation
+type of the matrix at hand: determinants of an all-rational matrix are exact
+``Fraction`` values, anything else is evaluated in double precision.  A
+rational matrix scaled by a float factor is a float matrix, which is what
+:func:`affeq.system.check_assignment` evaluates for a rational assignment on
+an instance with float lengths.  Exact evaluation
 clears denominators once per :class:`SquaredDistanceMatrix`, that is once
 per side: with ``L`` the lcm of the entries' denominators, Bareiss
 elimination runs on the ints ``L * z``.  A bordered determinant over ``m``
@@ -38,6 +41,7 @@ from .linalg import (
     bareiss_det,
     bordered_det_batch,
     bordered_matrix,
+    bordered_stack,
     clear_denominators,
     is_exact_value,
 )
@@ -186,7 +190,7 @@ def cmd(D: SquaredDistanceMatrix, index_set):
     if not index_set:
         raise InputError("index set must be nonempty")
     _check_subset(D, index_set)
-    return _evaluate(D, [index_set])[0][0]
+    return np.asarray(_evaluate(D, [index_set])[0]).item(0)
 
 
 def simplex_volume_sq(D: SquaredDistanceMatrix, index_set):
@@ -229,31 +233,47 @@ class _Rule:
             return 0
         return 1 if value > 0 else -1
 
+    def signs(self, values, scales, eps=None) -> np.ndarray:
+        """:meth:`sign` element by element, as an int array.  A NaN gives
+        -1 under a tolerant rule, as it does in :meth:`sign`."""
+        if self.exact:
+            values = np.asarray(values)
+            return (values > 0).astype(int) - (values < 0)
+        values = np.asarray(values, dtype=float)
+        bound = (self.eps if eps is None else eps) * np.asarray(scales, dtype=float)
+        return np.where(np.abs(values) <= bound, 0, np.where(values > 0, 1, -1))
+
+
+def _subset_max(D: SquaredDistanceMatrix, idx) -> np.ndarray:
+    """:meth:`SquaredDistanceMatrix.max_over` for each row of an index array."""
+    a, b = np.triu_indices(idx.shape[1], 1)
+    return np.abs(D.as_array()[idx[:, a], idx[:, b]]).max(axis=1, initial=0.0)
+
 
 def _evaluate(D: SquaredDistanceMatrix, subsets):
     """Bordered determinants over same-size subsets, with their scales.
 
-    Returns ``(dets, scales)`` as lists: ``Fraction`` determinants from one
-    int Bareiss elimination per subset on exact data, Python floats from a
-    single batched LAPACK call otherwise.  Each scale is ``M**(|I|-1)`` as in
-    :func:`subset_scale`, with ``M`` the largest entry magnitude over the
-    subset.  Subsets are not validated.
+    ``subsets`` is a sequence of index tuples or a 2-D index array.  Returns
+    ``(dets, scales)``, one entry per subset.  ``dets`` is a list of
+    ``Fraction`` values from one int Bareiss elimination per subset on exact
+    data, and a float array from a single batched LAPACK call otherwise;
+    ``np.asarray`` turns either into an array.  ``scales`` is a float array
+    of ``M**(|I|-1)`` as in :func:`subset_scale`, with ``M`` the largest
+    entry magnitude over the subset.  Subsets are not validated.
     """
-    subsets = list(subsets)
-    if not subsets:
-        return [], []
-    size = len(subsets[0])
+    if not len(subsets):
+        return [], np.empty(0)
     idx = np.asarray(subsets, dtype=np.intp)
-    zf = D.as_array()
-    blocks = np.abs(zf[idx[:, :, None], idx[:, None, :]]).reshape(len(subsets), -1)
-    top = blocks.max(axis=1).tolist() if size else [0.0] * len(subsets)
-    scales = [m ** (size - 1) if m != 0.0 else 1.0 for m in top]
+    size = idx.shape[1]
+    # Python's pow, so each scale is the float subset_scale gives.
+    scales = np.array([m ** (size - 1) if m != 0.0 else 1.0
+                       for m in _subset_max(D, idx).tolist()])
     if D.exact:
         # Degree size-1 in the entries; the empty set's determinant is 0.
         power = D._den ** max(size - 1, 0)
         return [Fraction(bareiss_det(bordered_matrix(D._zi, I)), power)
-                for I in subsets], scales
-    return bordered_det_batch(zf, idx).tolist(), scales
+                for I in idx.tolist()], scales
+    return bordered_det_batch(D.as_array(), idx), scales
 
 
 def _linear_forms(D: SquaredDistanceMatrix, subsets, pairs):
@@ -261,24 +281,28 @@ def _linear_forms(D: SquaredDistanceMatrix, subsets, pairs):
 
     The entry sits symmetrically at two places of the bordered matrix, so the
     derivative is twice its cofactor: one minor per subset, exact on exact
-    data and batched in floating point otherwise.
+    data and batched in floating point otherwise.  Returns a list or an
+    array, as :func:`_evaluate` does its ``dets``.
     """
-    z = D._zi if D.exact else D.z
-    minors, signs = [], []
-    for I, (r, s) in zip(subsets, pairs):
-        a, b = I.index(r) + 1, I.index(s) + 1
-        rows = bordered_matrix(z, I)
-        minors.append([row[:b] + row[b + 1:] for k, row in enumerate(rows) if k != a])
-        signs.append(2 * (-1) ** (a + b))
-    if not minors:
+    if not len(subsets):
         return []
+    idx = np.asarray(subsets, dtype=np.intp)
+    count, m = idx.shape
+    # Bordered rows a and columns b of each pair's entry; the minor drops both.
+    a, b = (np.argmax(idx == np.asarray(pairs)[:, k, None], axis=1) + 1 for k in (0, 1))
+    signs = 2 * (-1) ** (a + b)
     if D.exact:
         # An m-point subset's minor is m x m and of degree m-2 in the entries.
-        dets = [Fraction(bareiss_det(minor), D._den ** (len(minor) - 2))
-                for minor in minors]
-    else:
-        dets = np.linalg.det(np.asarray(minors, dtype=float)).tolist()
-    return [sign * det for sign, det in zip(signs, dets)]
+        dets = [Fraction(bareiss_det([row[:bk] + row[bk + 1:]
+                                      for k, row in enumerate(bordered_matrix(D._zi, I))
+                                      if k != ak]), D._den ** (m - 2))
+                for I, ak, bk in zip(idx.tolist(), a.tolist(), b.tolist())]
+        return [int(s) * det for s, det in zip(signs, dets)]
+    keep = np.arange(m)
+    rows, cols = (keep + (keep >= x[:, None]) for x in (a, b))
+    minors = bordered_stack(D.as_array(), idx)[
+        np.arange(count)[:, None, None], rows[:, :, None], cols[:, None, :]]
+    return signs * np.linalg.det(minors)
 
 
 def menger_check(D: SquaredDistanceMatrix, d: int,
@@ -308,25 +332,25 @@ def menger_check(D: SquaredDistanceMatrix, d: int,
     for size in range(min(3, d + 1), d + 2):
         subs = list(combinations(range(n), size))
         dets, scales = _evaluate(D, subs)
-        for I, det, scale in zip(subs, dets, scales):
-            if rule.sign(_legal_sign_violation(det, size), scale) > 0:
-                return EmbeddabilityReport(False, "ii", I, float(abs(det)))
+        dets = np.asarray(dets)
+        bad = np.flatnonzero(rule.signs(_legal_sign_violation(dets, size), scales) > 0)
+        if bad.size:
+            return EmbeddabilityReport(False, "ii", subs[bad[0]], float(abs(dets[bad[0]])))
 
-    # (iii): a full-rank (d+1)-subset must exist.
-    best = 0.0
-    for det, scale in zip(dets, scales):
-        margin = (-1) ** (d + 1) * det
-        if rule.sign(margin, scale) > 0:
-            break
-        best = max(best, float(margin) / scale)
-    else:
+    # (iii): a full-rank (d+1)-subset must exist.  The residual is the
+    # largest positive margin over its scale, 0.0 if there is none.
+    margins = (-1) ** (d + 1) * dets
+    if not (rule.signs(margins, scales) > 0).any():
+        ratios = np.asarray(margins, dtype=float) / scales
+        best = float(np.max(ratios, where=ratios > 0, initial=0.0))
         return EmbeddabilityReport(False, "iii", None, best)
 
     # (iv): every (d+2)-subset must be flat.
     subs = list(combinations(range(n), d + 2))
-    for I, det, scale in zip(subs, *_evaluate(D, subs)):
-        if rule.sign(det, scale) != 0:
-            return EmbeddabilityReport(False, "iv", I, float(abs(det)))
+    dets, scales = _evaluate(D, subs)
+    bad = np.flatnonzero(rule.signs(dets, scales) != 0)
+    if bad.size:
+        return EmbeddabilityReport(False, "iv", subs[bad[0]], float(abs(dets[bad[0]])))
 
     return EmbeddabilityReport(True, "none", None, 0.0)
 
@@ -349,9 +373,9 @@ def quadratic_slice(D: SquaredDistanceMatrix, index_set, pair) -> QuadraticSlice
         raise InputError("slice pair must lie inside the index set")
     _check_subset(D, index_set)
     face = tuple(i for i in index_set if i != r and i != s)
-    (full,), _ = _evaluate(D, [index_set])
-    (face_det,), _ = _evaluate(D, [face])
-    (slope,) = _linear_forms(D, [index_set], [pair])
+    full, face_det, slope = (np.asarray(v).item(0) for v in (
+        _evaluate(D, [index_set])[0], _evaluate(D, [face])[0],
+        _linear_forms(D, [index_set], [pair])))
     t = D.entry(r, s)
     U = -face_det
     V = slope - 2 * U * t

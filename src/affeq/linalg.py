@@ -131,8 +131,8 @@ def bordered_matrix(z, index_set):
     return rows
 
 
-def bordered_det_batch(zf: np.ndarray, subsets) -> np.ndarray:
-    """Floating bordered determinants for many subsets of equal size at once."""
+def bordered_stack(zf: np.ndarray, subsets) -> np.ndarray:
+    """Float bordered matrices of many same-size subsets, stacked."""
     subsets = np.asarray(subsets, dtype=np.intp)
     if subsets.ndim != 2:
         raise InputError("subsets must be a 2-D index array")
@@ -142,4 +142,9 @@ def bordered_det_batch(zf: np.ndarray, subsets) -> np.ndarray:
     big[:, 1:, 1:] = zf[subsets[:, :, None], subsets[:, None, :]]
     diag = np.arange(1, m + 1)
     big[:, diag, diag] = 0.0
-    return np.linalg.det(big)
+    return big
+
+
+def bordered_det_batch(zf: np.ndarray, subsets) -> np.ndarray:
+    """Floating bordered determinants for many subsets of equal size at once."""
+    return np.linalg.det(bordered_stack(zf, subsets))

@@ -514,7 +514,8 @@ def _pinned_scan(inst, budget, tol, fixed_left) -> Optional[Verdict]:
             continue
         cliques = [subset for subset in itertools.combinations(range(n), size)
                    if all(pr in eset for pr in itertools.combinations(subset, 2))]
-        evaluated = [(name, *_evaluate(z, cliques)) for name, z in sides]
+        evaluated = [(name, *(np.asarray(a).tolist() for a in _evaluate(z, cliques)))
+                     for name, z in sides]
         for k, subset in enumerate(cliques):
             for name, dets, scales in evaluated:
                 value, scale = dets[k], scales[k]

@@ -21,8 +21,10 @@ package:
 Checking never raises on a failing condition; failures are reported with a
 worst witness and a residual in the units of the original instance.
 
-Arithmetic follows the package rule (see :mod:`affeq.cmdet`): values are
-evaluated in the data's own type, and each side is decided exactly only when
+Arithmetic follows the package rule (see :mod:`affeq.cmdet`).  Each side is
+rescaled by a prescribed squared length and evaluated in the type of the
+result, so a rational assignment is evaluated exactly only when the
+instance's lengths are rational too.  A side is decided exactly only when
 the policy is ``"auto"``, that side's assignment is rational and the
 instance's lengths are rational; otherwise every test follows
 :class:`Tolerances`.
@@ -30,14 +32,17 @@ instance's lengths are rational; otherwise every test follows
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Optional
+
+import numpy as np
 
 from .cmdet import (
     SquaredDistanceMatrix,
     _evaluate,
     _linear_forms,
     _Rule,
+    _subset_max,
     cmd,
     subset_scale,
 )
@@ -257,20 +262,16 @@ def _pick_base(z, d, rule, subsets, dets, scales):
     """Base simplex from the evaluated (d+1)-subsets; see find_base_simplex."""
     if z.n < d + 1:
         raise NoBaseSimplexError(f"need at least {d + 1} vertices, have {z.n}")
-    candidates = [
-        (subset, abs(float(value)) / scale)
-        for subset, value, scale in zip(subsets, dets, scales)
-        if rule.sign(value, scale) != 0
-    ]
-    if not candidates:
+    candidates = np.flatnonzero(rule.signs(dets, scales) != 0)
+    if not candidates.size:
         raise NoBaseSimplexError(
             f"every {d + 1}-subset has a vanishing determinant"
         )
-    top = max(margin for _, margin in candidates)
-    for subset, margin in candidates:
-        if margin >= top * (1.0 - 1e-6):
-            return subset
-    return candidates[0][0]
+    margins = np.abs(np.asarray(dets, dtype=float)[candidates]) / scales[candidates]
+    # As Python's max: a NaN first margin stays the maximum, later NaNs never win.
+    top = margins[0] if np.isnan(margins[0]) else np.nanmax(margins)
+    tied = np.flatnonzero(margins >= top * (1.0 - 1e-6))
+    return subsets[candidates[tied[0] if tied.size else 0]]
 
 
 def estimate_alpha(z, z_prime, base, rel_eps: float = 1e-9):
@@ -380,6 +381,15 @@ class _Family:
             self.witness = witness
             self.residual = residual
 
+    def fail_subsets(self, name, subsets, values, scales, flagged, c):
+        """:meth:`fail` for each flagged subset in order, with magnitude
+        ``|value| / scale`` and residual ``|value| * c**(|I|-1)``."""
+        for k in np.flatnonzero(flagged):
+            value = values.item(k)
+            self.fail(abs(float(value)) / scales.item(k),
+                      {"matrix": name, "subset": list(subsets[k])},
+                      abs(value) * c ** (len(subsets[k]) - 1))
+
     def entry(self) -> ConditionEntry:
         return ConditionEntry(
             key=self.key,
@@ -404,7 +414,9 @@ def check_assignment(inst: Instance, a: Assignment, tol: Tolerances = Tolerances
     all rational, and anything else follows ``tol``.  Under ``"tolerant"``
     every comparison follows ``tol`` even on rational data; evaluation stays
     exact, so a reported violation on rational data is a rigorous fact about
-    the instance, not roundoff.
+    the instance, not roundoff.  A float length makes the rescaling factor a
+    float: a rational assignment on such an instance is then evaluated in
+    floats, and it is decided with ``tol`` under either policy.
     """
     if a.z.n != inst.n:
         raise InputError(
@@ -418,6 +430,8 @@ def check_assignment(inst: Instance, a: Assignment, tol: Tolerances = Tolerances
     by_size = {d + 1: desc.simplex_subsets, d + 2: desc.vanish_subsets}
     for size in range(3, d + 1):
         by_size[size] = [s for s in desc.sign_subsets if len(s) == size]
+    index = {size: np.fromiter(chain.from_iterable(subsets), np.intp).reshape(-1, size)
+             for size, subsets in by_size.items()}
 
     sides = []
     for name, orig, pins in (("z", a.z, inst.lam_sq()),
@@ -425,23 +439,25 @@ def check_assignment(inst: Instance, a: Assignment, tol: Tolerances = Tolerances
         c = max(pins.values(), default=1)
         scaled = orig.scaled(_inverse(c, orig.exact))
         rule = _Rule(strict and inst.exact and orig.exact, tol.rel_eps)
-        dets = {size: _evaluate(scaled, subsets) for size, subsets in by_size.items()}
+        dets = {size: tuple(map(np.asarray, _evaluate(scaled, idx)))
+                for size, idx in index.items()}
         sides.append((name, orig, scaled, c, pins, rule, dets))
     (_, _, zs, cz, _, rule_z, dets_z), (_, _, zps, czp, _, rule_zp, dets_zp) = sides
 
     entries = []
 
     fam6 = _Family("6", tol.rel_eps)
+    pairs = list(combinations(range(n), 2))
     for name, orig, scaled, c, _, rule, _ in sides:
         m = max(1.0, scaled.max_over(range(n)))
-        for i, j in combinations(range(n), 2):
-            value = scaled.entry(i, j)
-            if rule.sign(value, m) < 0:
-                fam6.fail(
-                    -float(value) / m,
-                    {"matrix": name, "pair": [i, j]},
-                    -orig.entry(i, j),
-                )
+        values = [scaled.entry(i, j) for i, j in pairs]
+        for k in np.flatnonzero(rule.signs(values, m) < 0):
+            (i, j), value = pairs[k], values[k]
+            fam6.fail(
+                -float(value) / m,
+                {"matrix": name, "pair": [i, j]},
+                -orig.entry(i, j),
+            )
     entries.append(fam6.entry())
 
     fam7 = _Family("7", tol.rel_eps)
@@ -461,14 +477,10 @@ def check_assignment(inst: Instance, a: Assignment, tol: Tolerances = Tolerances
     fam8 = _Family("8", tol.rel_eps)
     for name, orig, scaled, c, _, rule, dets in sides:
         for size in range(3, d + 2):
-            for subset, det, scale in zip(by_size[size], *dets[size]):
-                value = (-1) ** size * det
-                if rule.sign(value, scale) < 0:
-                    fam8.fail(
-                        -float(value) / scale,
-                        {"matrix": name, "subset": list(subset)},
-                        abs(value) * c ** (size - 1),
-                    )
+            values, scales = dets[size]
+            values = (-1) ** size * values
+            fam8.fail_subsets(name, by_size[size], values, scales,
+                              rule.signs(values, scales) < 0, c)
     entries.append(fam8.entry())
 
     fam9 = _Family("9", tol.rel_eps)
@@ -476,20 +488,17 @@ def check_assignment(inst: Instance, a: Assignment, tol: Tolerances = Tolerances
     try:
         base = _pick_base(zs, d, rule_z, desc.simplex_subsets, *dets_z[d + 1])
     except NoBaseSimplexError as exc:
-        best = max((abs(value) * cz ** d for value in dets_z[d + 1][0]), default=0)
+        best = max((abs(value) * cz ** d for value in dets_z[d + 1][0].tolist()),
+                   default=0)
         fam9.note = str(exc)
         fam9.fail(float("inf"), None, best)
     entries.append(fam9.entry())
 
     fam10 = _Family("10", tol.rel_eps)
     for name, orig, scaled, c, _, rule, dets in sides:
-        for subset, value, scale in zip(desc.vanish_subsets, *dets[d + 2]):
-            if rule.sign(value, scale) != 0:
-                fam10.fail(
-                    abs(float(value)) / scale,
-                    {"matrix": name, "subset": list(subset)},
-                    abs(value) * c ** (d + 1),
-                )
+        values, scales = dets[d + 2]
+        fam10.fail_subsets(name, desc.vanish_subsets, values, scales,
+                           rule.signs(values, scales) != 0, c)
     entries.append(fam10.entry())
 
     fam11 = _Family("11", tol.rel_eps)
@@ -505,18 +514,21 @@ def check_assignment(inst: Instance, a: Assignment, tol: Tolerances = Tolerances
         unit_ratio = _ratio_unit(czp, cz, d)
         alpha_scaled = a.alpha / unit_ratio
         af = float(alpha_scaled)
-        for subset, u, su, v, sv in zip(desc.simplex_subsets, *dets_z[d + 1],
-                                         *dets_zp[d + 1]):
-            # The ratio condition is checked in equation form v = alpha*u,
-            # which needs no case split for vanishing determinants: a pair
-            # of degenerate simplices satisfies it with residual zero, and
-            # a determinant vanishing on one side only leaves the whole
-            # other determinant as the residual.
+        # The ratio condition is checked in equation form v = alpha*u, which
+        # needs no case split for vanishing determinants: a pair of
+        # degenerate simplices satisfies it with residual zero, and a
+        # determinant vanishing on one side only leaves the whole other
+        # determinant as the residual.  Only failing subsets are revisited.
+        (us, sus), (vs, svs) = dets_z[d + 1], dets_zp[d + 1]
+        vf, uf = np.abs(vs.astype(float)), np.abs(af * us.astype(float))
+        bound = (tol.alpha_rel * np.where(uf > vf, uf, vf)  # max(vf, uf): a NaN vf stays
+                 + tol.vanish_cutoff * (svs + af * sus))
+        for k in np.flatnonzero(ratio_rule.signs(vs - alpha_scaled * us, bound, 1.0)):
+            subset = desc.simplex_subsets[k]
+            u, su, v, sv = us.item(k), sus.item(k), vs.item(k), svs.item(k)
             lin = v - alpha_scaled * u
             big = max(abs(float(v)), abs(af * float(u)))
             floor = tol.vanish_cutoff * (sv + af * su)
-            if ratio_rule.sign(lin, tol.alpha_rel * big + floor, 1.0) == 0:
-                continue
             if pair_rule.sign(u, su, tol.vanish_cutoff) != 0:
                 ratio_orig = v / u * unit_ratio
                 witness = {
@@ -536,40 +548,35 @@ def check_assignment(inst: Instance, a: Assignment, tol: Tolerances = Tolerances
         # A slice's U = -cmd(face) depends only on the base face the check
         # leaves out, not on the outside vertex.
         faces = [tuple(i for i in base if i != i_r) for i_r in base]
-        face_dets = _evaluate(zs, faces)[0], _evaluate(zps, faces)[0]
+        face_dets = [np.asarray(_evaluate(z, faces)[0]) for z in (zs, zps)]
         checks = desc.side_checks(base)
-        subsets = [subset for _, _, subset, _ in checks]
-        pairs = [pair for _, _, _, pair in checks]
+        rs = [r for _, r, _, _ in checks]
+        idx = np.asarray([subset for _, _, subset, _ in checks],
+                         dtype=np.intp).reshape(len(checks), d + 2)
+        slice_pairs = [pair for _, _, _, pair in checks]
+        ln, lnp = (np.asarray(_linear_forms(z, idx, slice_pairs)) for z in (zs, zps))
+        # Python's max and pow on each check, as one gather of subset maxima.
+        mz, mzp = _subset_max(zs, idx).tolist(), _subset_max(zps, idx).tolist()
+        face_scale = [max(m, mp, 1.0) ** (d - 1) for m, mp in zip(mz, mzp)]
+        scale_l, scale_lp = ([max(m, 1.0) ** d for m in ms] for ms in (mz, mzp))
+        skip = np.any([pair_rule.signs(f[rs], face_scale, tol.vanish_cutoff) == 0
+                       for f in face_dets], axis=0)
+        # A side's sign is settled when the value is clearly zero (within
+        # lo) or clearly nonzero (beyond hi); a value in between could be
+        # either.  Only two settled, different signs refute.  On exact data
+        # every sign is settled, so this is plain sign equality.
         lo = tol.rel_eps
         hi = max(tol.vanish_cutoff, 1e3 * tol.rel_eps)
-        skipped = 0
-        for (j, r, subset, pair), ln, lnp in zip(
-                checks, _linear_forms(zs, subsets, pairs), _linear_forms(zps, subsets, pairs)):
-            face_scale = max(zs.max_over(subset), zps.max_over(subset), 1.0) ** (d - 1)
-            if any(pair_rule.sign(f[r], face_scale, tol.vanish_cutoff) == 0 for f in face_dets):
-                skipped += 1
-                continue
-            scale_l = max(zs.max_over(subset), 1.0) ** d
-            scale_lp = max(zps.max_over(subset), 1.0) ** d
-            # A side's sign is settled when the value is clearly zero (within
-            # lo) or clearly nonzero (beyond hi); a value in between could be
-            # either.  Only two settled, different signs refute.  On exact
-            # data every sign is settled, so this is plain sign equality.
-            s_lo, s_hi = (pair_rule.sign(ln, scale_l, eps) for eps in (lo, hi))
-            p_lo, p_hi = (pair_rule.sign(lnp, scale_lp, eps) for eps in (lo, hi))
-            if s_lo == s_hi and p_lo == p_hi and s_hi != p_hi:
-                fam12.fail(
-                    abs(float(ln)) / scale_l + abs(float(lnp)) / scale_lp,
-                    {
-                        "vertex": j,
-                        "r": r,
-                        "pair": list(pair),
-                        "subset": list(subset),
-                    },
-                    abs(ln) * cz ** d + abs(lnp) * czp ** d,
-                )
-        if skipped:
-            fam12.note = f"{skipped} face checks skipped (degenerate face)"
+        s_lo, s_hi = (pair_rule.signs(ln, scale_l, eps) for eps in (lo, hi))
+        p_lo, p_hi = (pair_rule.signs(lnp, scale_lp, eps) for eps in (lo, hi))
+        refuted = ~skip & (s_lo == s_hi) & (p_lo == p_hi) & (s_hi != p_hi)
+        for k in np.flatnonzero(refuted):
+            (j, r, subset, pair), l, lp = checks[k], ln.item(k), lnp.item(k)
+            fam12.fail(abs(float(l)) / scale_l[k] + abs(float(lp)) / scale_lp[k],
+                       {"vertex": j, "r": r, "pair": list(pair), "subset": list(subset)},
+                       abs(l) * cz ** d + abs(lp) * czp ** d)
+        if skip.any():
+            fam12.note = f"{skip.sum()} face checks skipped (degenerate face)"
     entries.append(fam11.entry())
     entries.append(fam12.entry())
     return ConditionReport(entries=tuple(entries), base_simplex=base)

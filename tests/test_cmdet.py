@@ -9,6 +9,7 @@ from affeq.cmdet import (
     Side,
     SquaredDistanceMatrix,
     _evaluate,
+    _Rule,
     _linear_forms,
     cmd,
     menger_check,
@@ -418,3 +419,63 @@ class TestSideClassify:
                 assert got is Side.OPPOSITE_SIDE
             else:
                 assert got is Side.ON_HYPERPLANE
+
+
+class TestRuleSigns:
+    """``_Rule.signs`` is ``_Rule.sign`` element by element."""
+
+    EPS = 1e-9
+
+    def edge_values(self, scale):
+        at = self.EPS * scale
+        return [0.0, -0.0, at, -at, np.nextafter(at, np.inf), np.nextafter(at, 0.0),
+                -np.nextafter(at, np.inf), -np.nextafter(at, 0.0), 1.0, -1.0,
+                np.inf, -np.inf, np.nan, 5e-324, -5e-324]
+
+    def scalar(self, rule, values, scales, eps=None):
+        if np.ndim(scales) == 0:
+            scales = [scales] * len(values)
+        return [rule.sign(v, s, eps) for v, s in zip(values, scales)]
+
+    @pytest.mark.parametrize("scale", [1.0, 3.7, 1e-300, 1e300, 0.0, np.inf])
+    def test_tolerant_matches_sign(self, scale):
+        rule = _Rule(False, self.EPS)
+        values = self.edge_values(scale)
+        got = rule.signs(values, scale)
+        assert got.tolist() == self.scalar(rule, values, scale)
+        assert got[2] == 0  # exactly eps * scale counts as zero
+
+    def test_tolerant_per_element_scales_and_eps(self):
+        rule = _Rule(False, self.EPS)
+        rng = np.random.default_rng(5)
+        values = np.concatenate([rng.normal(size=40) * 1e-8, [np.nan, np.inf, -np.inf]])
+        scales = np.abs(rng.normal(size=len(values))) * 10
+        for eps in (None, 1e-9, 1e-6, 1.0):
+            assert (rule.signs(values, scales, eps).tolist()
+                    == self.scalar(rule, values.tolist(), scales.tolist(), eps))
+
+    def test_tolerant_on_fractions(self):
+        rule = _Rule(False, self.EPS)
+        values = [Fraction(1, 10**9), Fraction(-1, 10**9), Fraction(1, 10**8),
+                  Fraction(-3, 7), Fraction(0), Fraction(10**400, 3**800)]
+        scales = [1.0, 1.0, 1.0, 1e9, 2.0, 1.0]
+        assert rule.signs(values, scales).tolist() == self.scalar(rule, values, scales)
+
+    def test_nan_is_negative_under_a_tolerant_rule(self):
+        rule = _Rule(False)
+        assert rule.sign(float("nan")) == -1
+        assert rule.signs([float("nan")], 1.0).tolist() == [-1]
+
+    def test_exact_gives_true_signs(self):
+        rule = _Rule(True, self.EPS)
+        values = [Fraction(0), Fraction(1, 10**30), Fraction(-1, 10**30), 0, 7, -7,
+                  10**40, -(10**40), Fraction(-5, 3)]
+        expected = [0, 1, -1, 0, 1, -1, 1, -1, -1]
+        for scales in (1.0, [1e30] * len(values)):
+            got = rule.signs(values, scales)
+            assert got.tolist() == self.scalar(rule, values, scales) == expected
+            assert rule.signs(np.asarray(values, dtype=object), scales).tolist() == expected
+
+    def test_empty(self):
+        assert _Rule(False).signs([], 1.0).tolist() == []
+        assert _Rule(True).signs([], np.empty(0)).tolist() == []

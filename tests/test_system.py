@@ -14,11 +14,13 @@ from affeq.errors import (
     RatioSignError,
 )
 from affeq.solver import random_instance
+from affeq import cmdet
 from affeq.system import (
     CONDITION_KEYS,
     Assignment,
     Instance,
     Tolerances,
+    _Family,
     build_system,
     check_assignment,
     estimate_alpha,
@@ -452,3 +454,36 @@ def test_check_report_json_pinned():
     digest = hashlib.sha256(pinned_report_json().encode()).hexdigest()
     assert digest == (
         "7de0e6c6715a6df22ea2bd9028e70c6e4c674e012da2ddc29213ec77854d33f7")
+
+
+def test_family_scan_keeps_the_first_witness_within_the_tie_band():
+    # The scan replaces its witness only beyond (1 + tie) times the worst so
+    # far, so it keeps "c"; the first violation within the band of the
+    # largest one would be "b".
+    tie = 1e-3
+    fam = _Family("8", tie)
+    for magnitude, witness in [(1.0, "a"), (1 + 0.6 * tie, "b"), (1 + 1.2 * tie, "c")]:
+        fam.fail(magnitude, witness, magnitude)
+    assert fam.witness == "c" and fam.worst == 1 + 1.2 * tie
+    assert 1 + 0.6 * tie >= (1 + 1.2 * tie) * (1 - tie)
+
+
+def test_float_length_instance_decides_a_rational_assignment_in_floats(monkeypatch):
+    # The integer unit square, with and without its diagonal (0, 3) as an
+    # edge of float length sqrt(2): the float length makes the rescaling
+    # factor a float, so the integer assignment is evaluated in floats.
+    calls, bareiss_det = [], cmdet.bareiss_det
+
+    def counted(rows):
+        calls.append(rows)
+        return bareiss_det(rows)
+
+    monkeypatch.setattr(cmdet, "bareiss_det", counted)
+    sides = {(0, 1): (1, 1), (0, 2): (1, 1), (1, 3): (1, 1), (2, 3): (1, 1)}
+    square = Assignment(Z_SQUARE, Z_SQUARE, 1)
+    diagonal = Instance.from_lengths(4, 2, {**sides, (0, 3): (math.sqrt(2), math.sqrt(2))})
+    assert square.exact and not diagonal.exact
+    assert check_assignment(diagonal, square).passed
+    assert calls == []
+    assert check_assignment(Instance.from_lengths(4, 2, sides), square).passed
+    assert len(calls) > 0

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib
 import itertools
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from affeq import solver
+from affeq.cmdet import SquaredDistanceMatrix, menger_check
 from affeq.embedding import Configuration
 from affeq.errors import InputError
 from affeq.reconstruct import verify_problem1
@@ -31,11 +33,11 @@ from affeq.solver import (
     random_instance,
     solve,
 )
-from affeq.system import Instance, check_assignment
+from affeq.system import Instance, Tolerances, check_assignment
 
-from helpers import loop_jacobian
+from helpers import loop_jacobian, squared_distance_rows
 from test_acceptance import _random_line_instance
-from test_system import K3, SKEW_PTS, SQUARE_PTS, complete_instance_from_points
+from test_system import K3, SKEW_PTS, SQUARE_PTS, _rounded, complete_instance_from_points
 
 BAD_K3 = Instance.from_lengths(3, 2, {(0, 1): (3, 1), (1, 2): (4, 2), (0, 2): (5, 4)})
 K4_PAIR = complete_instance_from_points(SQUARE_PTS, SKEW_PTS, 2)
@@ -577,6 +579,64 @@ class TestStagePipeline:
         digest = hashlib.sha256(pinned_verdict_json().encode()).hexdigest()
         assert digest == (
             "c380600f9a632800506882f270664108fd57e76196059a464444409f90a1203a")
+
+
+def pinned_scan_json():
+    """``_pinned_scan`` verdicts and ``menger_check`` reports, floats rounded
+    as in ``pinned_report_json``.
+
+    The scan runs on sparse planted instances of the solve-planted cells,
+    each with a twin whose second length on one edge is times 1.3, and on
+    the exact instances of the acceptance line suite.  ``menger_check`` runs
+    on points in dimensions 1-3 (float, and integer lattice points) at the
+    right dimension and one off either way, on a float matrix with one
+    entry nudged by 1e-12 and by 1e-2, and on matrices with one infinite or
+    one negative entry.
+    """
+    rng = np.random.default_rng(15)
+    tol = Tolerances()
+    scans = []
+    for seed in range(8):
+        for n, d, density in itertools.product((6, 8, 10), (2, 3), (0.3, 0.5, 0.7)):
+            inst, _ = random_instance(seed, n, d, density)
+            k = int(rng.integers(len(inst.edges)))
+            lam_prime = list(inst.lam_prime)
+            lam_prime[k] *= 1.3
+            scans += [inst, Instance(n, d, inst.edges, inst.lam, tuple(lam_prime))]
+    scans += [inst for inst in map(_random_line_instance, range(200)) if inst.exact]
+    lines = [json.dumps(_rounded(v.to_dict() if v else None), sort_keys=True)
+             for v in (solver._pinned_scan(inst, None, tol, None) for inst in scans)]
+
+    checks = []
+    for d in (1, 2, 3):
+        for n in (d + 1, d + 3, 7):
+            pts = rng.normal(size=(n, d))
+            grid = rng.choice(8**d, size=n, replace=False)
+            lattice = [[int(c) // 8**k % 8 for k in range(d)] for c in grid]
+            for rows in (squared_distance_rows(pts.tolist()),
+                         squared_distance_rows(lattice)):
+                i, j = sorted(rng.choice(n, size=2, replace=False).tolist())
+                variants = [rows]
+                for factor in (1 + 1e-12, 1.01, math.inf, -1):
+                    bad = [list(row) for row in rows]
+                    bad[i][j] = bad[j][i] = factor * bad[i][j]
+                    variants.append(bad)
+                for z in variants:
+                    D = SquaredDistanceMatrix(z, allow_negative=True)
+                    checks += [(D, dim) for dim in (d - 1, d, d + 1) if dim >= 1]
+    with np.errstate(invalid="ignore", over="ignore"):
+        for D, dim in checks:
+            report = dataclasses.asdict(menger_check(D, dim))
+            lines.append(json.dumps(_rounded(report), sort_keys=True))
+    return "\n".join(lines)
+
+
+# SHA-256 of pinned_scan_json; any change to the scan's or menger_check's
+# output must show here.
+def test_pinned_scan_json_pinned():
+    digest = hashlib.sha256(pinned_scan_json().encode()).hexdigest()
+    assert digest == (
+        "8975283c1a0fa2be0187f2ee956b4b3a9e1fbd8d79659ea317fb2f3fbbaeaab1")
 
 
 def test_import_loads_no_scipy():

@@ -24,6 +24,10 @@ the ``"auto"`` policy.  Any other data is judged relative to the scale
 ``M**(|I|-1)``, where ``M`` is the largest entry magnitude over the subset
 (the determinant's homogeneity degree): a value within ``rel_eps`` times
 that scale counts as zero.
+
+``menger_check``, the checker of :mod:`affeq.system` and the solver's
+pinned-subsystem scan share one subset enumeration, ``_subsets``, and one
+test of the Cayley-Menger sign and flatness conditions, ``_defects``.
 """
 
 from __future__ import annotations
@@ -32,7 +36,8 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -206,11 +211,6 @@ def simplex_volume_sq(D: SquaredDistanceMatrix, index_set):
     return Fraction((-1) ** (k + 1), 2**k * math.factorial(k) ** 2) * cmd(D, index_set)
 
 
-def _legal_sign_violation(det, npoints):
-    """Signed violation of the embeddability sign rule; positive = violated."""
-    return -((-1) ** npoints * det)
-
-
 @dataclass(frozen=True)
 class _Rule:
     """How the determinant tests on one side's data are decided.
@@ -244,9 +244,31 @@ class _Rule:
         return np.where(np.abs(values) <= bound, 0, np.where(values > 0, 1, -1))
 
 
+@lru_cache
+def _subsets(n: int, size: int) -> np.ndarray:
+    """``combinations(range(n), size)`` as a read-only ``(count, size)`` index
+    array, one subset per row in the same order."""
+    count = math.comb(n, size)
+    idx = np.fromiter(chain.from_iterable(combinations(range(n), size)),
+                      np.intp, count * size).reshape(count, size)
+    idx.setflags(write=False)
+    return idx
+
+
+def _defects(rule: _Rule, d: int, size: int, dets, scales) -> np.ndarray:
+    """Mask of the same-size subsets that break embeddability in R^d: a sign
+    other than ``(-1)**size`` or zero up to d+1 points, a nonzero value on d+2
+    points.  A NaN fails either test."""
+    dets = np.asarray(dets)
+    if size == d + 2:
+        return rule.signs(dets, scales) != 0
+    # Negate the values, not the signs: a NaN's sign is -1 either way.
+    return rule.signs(dets if size % 2 == 0 else -dets, scales) < 0
+
+
 def _subset_max(D: SquaredDistanceMatrix, idx) -> np.ndarray:
     """:meth:`SquaredDistanceMatrix.max_over` for each row of an index array."""
-    a, b = np.triu_indices(idx.shape[1], 1)
+    a, b = _subsets(idx.shape[1], 2).T
     return np.abs(D.as_array()[idx[:, a], idx[:, b]]).max(axis=1, initial=0.0)
 
 
@@ -323,34 +345,32 @@ def menger_check(D: SquaredDistanceMatrix, d: int,
     rule = _Rule(D.exact, rel_eps)
 
     # (ii): sizes 1 and 2 reduce to -1 and 2z; only entry signs can fail.
-    for i, j in combinations(range(n), 2):
+    for i, j in _subsets(n, 2).tolist():
         v = D.entry(i, j)
         if v < 0:
             return EmbeddabilityReport(False, "ii", (i, j), abs(2.0 * float(v)))
-    # The loop ends on the (d+1)-subsets, which (iii) reuses; for d = 1 that
-    # is the pairs, whose sign the entry test above has already settled.
-    for size in range(min(3, d + 1), d + 2):
-        subs = list(combinations(range(n), size))
-        dets, scales = _evaluate(D, subs)
+    # For d = 1 the first size is the pairs, whose sign the entry test above
+    # has already settled.
+    for size in range(min(3, d + 1), d + 3):
+        idx = _subsets(n, size)
+        dets, scales = _evaluate(D, idx)
         dets = np.asarray(dets)
-        bad = np.flatnonzero(rule.signs(_legal_sign_violation(dets, size), scales) > 0)
-        if bad.size:
-            return EmbeddabilityReport(False, "ii", subs[bad[0]], float(abs(dets[bad[0]])))
-
-    # (iii): a full-rank (d+1)-subset must exist.  The residual is the
-    # largest positive margin over its scale, 0.0 if there is none.
-    margins = (-1) ** (d + 1) * dets
-    if not (rule.signs(margins, scales) > 0).any():
-        ratios = np.asarray(margins, dtype=float) / scales
-        best = float(np.max(ratios, where=ratios > 0, initial=0.0))
-        return EmbeddabilityReport(False, "iii", None, best)
-
-    # (iv): every (d+2)-subset must be flat.
-    subs = list(combinations(range(n), d + 2))
-    dets, scales = _evaluate(D, subs)
-    bad = np.flatnonzero(rule.signs(dets, scales) != 0)
-    if bad.size:
-        return EmbeddabilityReport(False, "iv", subs[bad[0]], float(abs(dets[bad[0]])))
+        bad = _defects(rule, d, size, dets, scales)
+        if size <= d + 1:
+            # A NaN determinant is left to (iii) and (iv) here.
+            bad &= dets == dets
+        if bad.any():
+            k = np.flatnonzero(bad)[0]
+            return EmbeddabilityReport(False, "ii" if size <= d + 1 else "iv",
+                                       tuple(idx[k].tolist()), float(abs(dets[k])))
+        if size == d + 1:
+            # (iii): a full-rank (d+1)-subset must exist.  The residual is
+            # the largest positive margin over its scale, 0.0 if there is none.
+            margins = (-1) ** (d + 1) * dets
+            if not (rule.signs(margins, scales) > 0).any():
+                ratios = np.asarray(margins, dtype=float) / scales
+                best = float(np.max(ratios, where=ratios > 0, initial=0.0))
+                return EmbeddabilityReport(False, "iii", None, best)
 
     return EmbeddabilityReport(True, "none", None, 0.0)
 

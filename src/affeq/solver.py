@@ -11,7 +11,8 @@ takes ``(inst, budget, tol, fixed_left)`` and returns a verdict or None:
 
 - ``_structure``: NO when too few vertices span the dimension;
 - ``_pinned_scan``: NO when a subset whose pairs are all edges is already
-  contradictory;
+  contradictory, by the checker's own subset enumeration and sign and
+  flatness test on the pinned lengths;
 - ``_complete_decision``: on a complete graph every length is pinned, so the
   checker decides NO and a pass is reconstructed into a YES;
 - ``_fixed_left_precheck``: NO when the fixed framework spans too little;
@@ -35,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cmdet import SquaredDistanceMatrix, _evaluate, _Rule
+from .cmdet import SquaredDistanceMatrix, _defects, _evaluate, _Rule, _subsets
 from .embedding import Configuration, distances_of
 from .errors import (
     AffeqError,
@@ -50,6 +51,7 @@ from .errors import (
 from .linalg import to_fraction
 from .reconstruct import AffineMap, reconstruct, verify_problem1
 from .system import (
+    ALPHA_REL,
     Assignment,
     ConditionEntry,
     ConditionReport,
@@ -444,7 +446,7 @@ def random_instance(seed: int, n: int, d: int, edge_density: float = 0.5):
             continue
         try:
             find_base_simplex(distances_of(Configuration.from_array(pts)),
-                              d, rel_eps=1e-4, strict=False)
+                              d, rel_eps=1e-4)
         except NoBaseSimplexError:
             continue
         break
@@ -496,47 +498,43 @@ def _pinned_squares(inst: Instance):
 def _pinned_scan(inst, budget, tol, fixed_left) -> Optional[Verdict]:
     """Look for a subset all of whose pairs are edges that is already
     contradictory: wrong determinant sign, missing flatness, or ratios no
-    single alpha can serve.  Exact lengths are decided exactly; floats only
-    fail on violations far beyond the checker's tolerances."""
+    single alpha can serve.  Exact lengths are decided exactly.  On floats
+    the sign and flatness tests use the checker's own ``tol.rel_eps``; only
+    the ratio test waits for violations beyond decisive margins."""
     n, d = inst.n, inst.d
-    eset = inst.edge_set
-    if not eset:
+    if not inst.edges:
         return None
     rule = _Rule(inst.exact, tol.rel_eps)
-    sides = [(name, SquaredDistanceMatrix.from_pairs(n, table))
-             for name, table in zip(("z", "z_prime"), _pinned_squares(inst))]
-    sizes = set(range(3, min(d + 2, n) + 1))
-    if 2 <= d + 1 <= n:
-        sizes.add(d + 1)
+    sides = [SquaredDistanceMatrix.from_pairs(n, table) for table in _pinned_squares(inst)]
+    adjacent = np.zeros((n, n), dtype=bool)
+    adjacent[tuple(np.asarray(inst.edges).T)] = True
     ratio_data = []
-    for size in sorted(sizes):
+    for size in range(min(3, d + 1), d + 3):
         if math.comb(n, size) > _CLIQUE_SCAN_CAP:
             continue
-        cliques = [subset for subset in itertools.combinations(range(n), size)
-                   if all(pr in eset for pr in itertools.combinations(subset, 2))]
-        evaluated = [(name, *(np.asarray(a).tolist() for a in _evaluate(z, cliques)))
-                     for name, z in sides]
-        for k, subset in enumerate(cliques):
-            for name, dets, scales in evaluated:
-                value, scale = dets[k], scales[k]
-                if 3 <= size <= d + 1 and rule.sign((-1) ** size * value, scale) < 0:
-                    return _refuted("pinned-scan", "pinned-subsystem", ConditionEntry(
-                        "8", False, {"matrix": name, "subset": list(subset)},
-                        residual=abs(value),
-                        note="fully pinned subset violates the sign rule"))
-                if size == d + 2 and rule.sign(value, scale) != 0:
-                    return _refuted("pinned-scan", "pinned-subsystem", ConditionEntry(
-                        "10", False, {"matrix": name, "subset": list(subset)},
-                        residual=abs(value),
-                        note="fully pinned subset of d+2 vertices is not flat"))
-            if size == d + 1:
-                (_, u, su), (_, v, sv) = evaluated
-                ratio_data.append((subset, u[k], v[k], su[k], sv[k]))
-    entry = _ratio_consistency(ratio_data, inst.exact, tol)
+        idx = _subsets(n, size)
+        a, b = _subsets(size, 2).T
+        cliques = idx[adjacent[idx[:, a], idx[:, b]].all(axis=1)]
+        (u, su), (v, sv) = (map(np.asarray, _evaluate(z, cliques)) for z in sides)
+        bad_z, bad_zp = (_defects(rule, d, size, *side) for side in ((u, su), (v, sv)))
+        bad = np.flatnonzero(bad_z | bad_zp)
+        if bad.size:
+            k = bad[0]
+            name, value = ("z", u.item(k)) if bad_z[k] else ("z_prime", v.item(k))
+            key, note = (("8", "fully pinned subset violates the sign rule")
+                         if size <= d + 1 else
+                         ("10", "fully pinned subset of d+2 vertices is not flat"))
+            return _refuted("pinned-scan", "pinned-subsystem", ConditionEntry(
+                key, False, {"matrix": name, "subset": cliques[k].tolist()},
+                residual=abs(value), note=note))
+        if size == d + 1:
+            ratio_data = list(zip(cliques.tolist(), u.tolist(), v.tolist(),
+                                  su.tolist(), sv.tolist()))
+    entry = _ratio_consistency(ratio_data, inst.exact)
     return None if entry is None else _refuted("pinned-scan", "pinned-subsystem", entry)
 
 
-def _ratio_consistency(ratio_data, exact, tol) -> Optional[ConditionEntry]:
+def _ratio_consistency(ratio_data, exact) -> Optional[ConditionEntry]:
     """All fully pinned (d+1)-subsets must admit one common positive ratio;
     in particular neither side's determinant may vanish alone."""
     if not ratio_data:
@@ -571,7 +569,7 @@ def _ratio_consistency(ratio_data, exact, tol) -> Optional[ConditionEntry]:
     if len(decisive) >= 2:
         lo = min(decisive)
         hi = max(decisive)
-        if hi[0] - lo[0] > 3.0 * tol.alpha_rel * max(abs(hi[0]), abs(lo[0])):
+        if hi[0] - lo[0] > 3.0 * ALPHA_REL * max(abs(hi[0]), abs(lo[0])):
             return ConditionEntry(
                 "11", False,
                 {"subset": list(hi[1]), "ratio": hi[0],

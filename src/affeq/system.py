@@ -39,10 +39,12 @@ import numpy as np
 
 from .cmdet import (
     SquaredDistanceMatrix,
+    _defects,
     _evaluate,
     _linear_forms,
     _Rule,
     _subset_max,
+    _subsets,
     cmd,
     subset_scale,
 )
@@ -154,28 +156,30 @@ class Assignment:
         return self.z.exact and self.z_prime.exact and is_exact_value(self.alpha)
 
 
+# Relative deviation of a subset's determinant ratio from alpha that is forgiven.
+ALPHA_REL = 1e-6
+# Normalized size below which a determinant counts as vanishing for the ratio
+# and side tests.
+VANISH_CUTOFF = 1e-9
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Floating-point comparison policy.
 
     ``rel_eps`` scales every zero and sign test by the subset magnitude
-    M^degree, where M is the largest entry over the subset involved;
-    ``alpha_rel`` bounds the relative deviation between per-subset ratios
-    and the assignment's alpha; ``vanish_cutoff`` is the normalized size
-    below which a determinant is treated as vanishing when deciding whether
-    a ratio or side test is applicable.  A side decided exactly (rational
-    assignment, rational lengths, ``decisions="auto"``) ignores all three;
-    every other side, rational or not, follows them.
+    M^degree, where M is the largest entry over the subset involved.  The
+    ratio and side tests also use the fixed ``ALPHA_REL`` and
+    ``VANISH_CUTOFF``.  A side decided exactly (rational assignment, rational
+    lengths, ``decisions="auto"``) ignores all three; every other side,
+    rational or not, follows them.
     """
 
     rel_eps: float = 1e-9
-    alpha_rel: float = 1e-6
-    vanish_cutoff: float = 1e-9
 
     def __post_init__(self):
-        for name in ("rel_eps", "alpha_rel", "vanish_cutoff"):
-            if not getattr(self, name) > 0:
-                raise InputError(f"{name} must be positive")
+        if not self.rel_eps > 0:
+            raise InputError("rel_eps must be positive")
 
 
 @dataclass(frozen=True)
@@ -198,43 +202,29 @@ class SystemDescription:
 
     def side_checks(self, base):
         """(vertex, r, subset, pair) tuples for condition (12) over a base."""
-        base = tuple(base)
-        checks = []
-        for j in range(self.n):
-            if j in base:
-                continue
-            subset = tuple(sorted(base + (j,)))
-            for r, i_r in enumerate(base):
-                checks.append((j, r, subset, (i_r, j)))
-        return tuple(checks)
+        return _side_checks(self.n, base)
+
+
+def _side_checks(n, base):
+    """See :meth:`SystemDescription.side_checks`."""
+    base = tuple(base)
+    return tuple((j, r, tuple(sorted(base + (j,))), (i_r, j))
+                 for j in range(n) if j not in base for r, i_r in enumerate(base))
 
 
 def build_system(inst: Instance) -> SystemDescription:
     """Enumerate free variables, pinned entries and all constraint subsets."""
-    edges = inst.edge_set
-    free_pairs = tuple(
-        (i, j)
-        for i, j in combinations(range(inst.n), 2)
-        if (i, j) not in edges
-    )
-    lam_sq = inst.lam_sq()
-    lam_prime_sq = inst.lam_prime_sq()
-    pinned = {e: (lam_sq[e], lam_prime_sq[e]) for e in inst.edges}
-    sign_subsets = tuple(
-        subset
-        for size in range(3, min(inst.d + 1, inst.n) + 1)
-        for subset in combinations(range(inst.n), size)
-    )
-    simplex_subsets = tuple(combinations(range(inst.n), inst.d + 1))
-    vanish_subsets = tuple(combinations(range(inst.n), inst.d + 2))
+    n, d, edges = inst.n, inst.d, inst.edge_set
+    lam_sq, lam_prime_sq = inst.lam_sq(), inst.lam_prime_sq()
     return SystemDescription(
-        n=inst.n,
-        d=inst.d,
-        free_pairs=free_pairs,
-        pinned=pinned,
-        sign_subsets=sign_subsets,
-        simplex_subsets=simplex_subsets,
-        vanish_subsets=vanish_subsets,
+        n=n,
+        d=d,
+        free_pairs=tuple(pair for pair in combinations(range(n), 2) if pair not in edges),
+        pinned={e: (lam_sq[e], lam_prime_sq[e]) for e in inst.edges},
+        sign_subsets=tuple(chain.from_iterable(
+            combinations(range(n), size) for size in range(3, min(d + 1, n) + 1))),
+        simplex_subsets=tuple(combinations(range(n), d + 1)),
+        vanish_subsets=tuple(combinations(range(n), d + 2)),
     )
 
 
@@ -254,12 +244,12 @@ def find_base_simplex(z: SquaredDistanceMatrix, d: int, rel_eps: float = 1e-9,
     compared exactly.
     """
     rule = _Rule(bool(z.exact and (strict is None or strict)), rel_eps)
-    subsets = list(combinations(range(z.n), d + 1))
+    subsets = _subsets(z.n, d + 1)
     return _pick_base(z, d, rule, subsets, *_evaluate(z, subsets))
 
 
 def _pick_base(z, d, rule, subsets, dets, scales):
-    """Base simplex from the evaluated (d+1)-subsets; see find_base_simplex."""
+    """Base simplex from the evaluated (d+1)-subset rows; see find_base_simplex."""
     if z.n < d + 1:
         raise NoBaseSimplexError(f"need at least {d + 1} vertices, have {z.n}")
     candidates = np.flatnonzero(rule.signs(dets, scales) != 0)
@@ -271,7 +261,7 @@ def _pick_base(z, d, rule, subsets, dets, scales):
     # As Python's max: a NaN first margin stays the maximum, later NaNs never win.
     top = margins[0] if np.isnan(margins[0]) else np.nanmax(margins)
     tied = np.flatnonzero(margins >= top * (1.0 - 1e-6))
-    return subsets[candidates[tied[0] if tied.size else 0]]
+    return tuple(subsets[candidates[tied[0] if tied.size else 0]].tolist())
 
 
 def estimate_alpha(z, z_prime, base, rel_eps: float = 1e-9):
@@ -381,14 +371,14 @@ class _Family:
             self.witness = witness
             self.residual = residual
 
-    def fail_subsets(self, name, subsets, values, scales, flagged, c):
-        """:meth:`fail` for each flagged subset in order, with magnitude
+    def fail_subsets(self, name, idx, values, scales, flagged, c):
+        """:meth:`fail` for each flagged row of ``idx`` in order, with magnitude
         ``|value| / scale`` and residual ``|value| * c**(|I|-1)``."""
         for k in np.flatnonzero(flagged):
             value = values.item(k)
             self.fail(abs(float(value)) / scales.item(k),
-                      {"matrix": name, "subset": list(subsets[k])},
-                      abs(value) * c ** (len(subsets[k]) - 1))
+                      {"matrix": name, "subset": idx[k].tolist()},
+                      abs(value) * c ** (idx.shape[1] - 1))
 
     def entry(self) -> ConditionEntry:
         return ConditionEntry(
@@ -426,12 +416,7 @@ def check_assignment(inst: Instance, a: Assignment, tol: Tolerances = Tolerances
         raise InputError("decisions must be 'auto' or 'tolerant'")
     strict = decisions == "auto"
     n, d = inst.n, inst.d
-    desc = build_system(inst)
-    by_size = {d + 1: desc.simplex_subsets, d + 2: desc.vanish_subsets}
-    for size in range(3, d + 1):
-        by_size[size] = [s for s in desc.sign_subsets if len(s) == size]
-    index = {size: np.fromiter(chain.from_iterable(subsets), np.intp).reshape(-1, size)
-             for size, subsets in by_size.items()}
+    index = {size: _subsets(n, size) for size in range(min(3, d + 1), d + 3)}
 
     sides = []
     for name, orig, pins in (("z", a.z, inst.lam_sq()),
@@ -447,17 +432,13 @@ def check_assignment(inst: Instance, a: Assignment, tol: Tolerances = Tolerances
     entries = []
 
     fam6 = _Family("6", tol.rel_eps)
-    pairs = list(combinations(range(n), 2))
+    pairs = _subsets(n, 2).tolist()
     for name, orig, scaled, c, _, rule, _ in sides:
         m = max(1.0, scaled.max_over(range(n)))
         values = [scaled.entry(i, j) for i, j in pairs]
         for k in np.flatnonzero(rule.signs(values, m) < 0):
             (i, j), value = pairs[k], values[k]
-            fam6.fail(
-                -float(value) / m,
-                {"matrix": name, "pair": [i, j]},
-                -orig.entry(i, j),
-            )
+            fam6.fail(-float(value) / m, {"matrix": name, "pair": [i, j]}, -orig.entry(i, j))
     entries.append(fam6.entry())
 
     fam7 = _Family("7", tol.rel_eps)
@@ -477,16 +458,14 @@ def check_assignment(inst: Instance, a: Assignment, tol: Tolerances = Tolerances
     fam8 = _Family("8", tol.rel_eps)
     for name, orig, scaled, c, _, rule, dets in sides:
         for size in range(3, d + 2):
-            values, scales = dets[size]
-            values = (-1) ** size * values
-            fam8.fail_subsets(name, by_size[size], values, scales,
-                              rule.signs(values, scales) < 0, c)
+            fam8.fail_subsets(name, index[size], *dets[size],
+                              _defects(rule, d, size, *dets[size]), c)
     entries.append(fam8.entry())
 
     fam9 = _Family("9", tol.rel_eps)
     base = None
     try:
-        base = _pick_base(zs, d, rule_z, desc.simplex_subsets, *dets_z[d + 1])
+        base = _pick_base(zs, d, rule_z, index[d + 1], *dets_z[d + 1])
     except NoBaseSimplexError as exc:
         best = max((abs(value) * cz ** d for value in dets_z[d + 1][0].tolist()),
                    default=0)
@@ -496,9 +475,8 @@ def check_assignment(inst: Instance, a: Assignment, tol: Tolerances = Tolerances
 
     fam10 = _Family("10", tol.rel_eps)
     for name, orig, scaled, c, _, rule, dets in sides:
-        values, scales = dets[d + 2]
-        fam10.fail_subsets(name, desc.vanish_subsets, values, scales,
-                           rule.signs(values, scales) != 0, c)
+        fam10.fail_subsets(name, index[d + 2], *dets[d + 2],
+                           _defects(rule, d, d + 2, *dets[d + 2]), c)
     entries.append(fam10.entry())
 
     fam11 = _Family("11", tol.rel_eps)
@@ -521,25 +499,25 @@ def check_assignment(inst: Instance, a: Assignment, tol: Tolerances = Tolerances
         # determinant as the residual.  Only failing subsets are revisited.
         (us, sus), (vs, svs) = dets_z[d + 1], dets_zp[d + 1]
         vf, uf = np.abs(vs.astype(float)), np.abs(af * us.astype(float))
-        bound = (tol.alpha_rel * np.where(uf > vf, uf, vf)  # max(vf, uf): a NaN vf stays
-                 + tol.vanish_cutoff * (svs + af * sus))
+        bound = (ALPHA_REL * np.where(uf > vf, uf, vf)  # max(vf, uf): a NaN vf stays
+                 + VANISH_CUTOFF * (svs + af * sus))
         for k in np.flatnonzero(ratio_rule.signs(vs - alpha_scaled * us, bound, 1.0)):
-            subset = desc.simplex_subsets[k]
+            subset = index[d + 1][k].tolist()
             u, su, v, sv = us.item(k), sus.item(k), vs.item(k), svs.item(k)
             lin = v - alpha_scaled * u
             big = max(abs(float(v)), abs(af * float(u)))
-            floor = tol.vanish_cutoff * (sv + af * su)
-            if pair_rule.sign(u, su, tol.vanish_cutoff) != 0:
+            floor = VANISH_CUTOFF * (sv + af * su)
+            if pair_rule.sign(u, su, VANISH_CUTOFF) != 0:
                 ratio_orig = v / u * unit_ratio
                 witness = {
-                    "subset": list(subset),
+                    "subset": subset,
                     "ratio": ratio_orig,
                     "expected_alpha": a.alpha,
                 }
                 residual = abs(ratio_orig - a.alpha)
             else:
                 witness = {
-                    "subset": list(subset),
+                    "subset": subset,
                     "note": "determinant vanishes on one side only",
                 }
                 residual = abs(v) * czp ** d
@@ -549,7 +527,7 @@ def check_assignment(inst: Instance, a: Assignment, tol: Tolerances = Tolerances
         # leaves out, not on the outside vertex.
         faces = [tuple(i for i in base if i != i_r) for i_r in base]
         face_dets = [np.asarray(_evaluate(z, faces)[0]) for z in (zs, zps)]
-        checks = desc.side_checks(base)
+        checks = _side_checks(n, base)
         rs = [r for _, r, _, _ in checks]
         idx = np.asarray([subset for _, _, subset, _ in checks],
                          dtype=np.intp).reshape(len(checks), d + 2)
@@ -559,14 +537,14 @@ def check_assignment(inst: Instance, a: Assignment, tol: Tolerances = Tolerances
         mz, mzp = _subset_max(zs, idx).tolist(), _subset_max(zps, idx).tolist()
         face_scale = [max(m, mp, 1.0) ** (d - 1) for m, mp in zip(mz, mzp)]
         scale_l, scale_lp = ([max(m, 1.0) ** d for m in ms] for ms in (mz, mzp))
-        skip = np.any([pair_rule.signs(f[rs], face_scale, tol.vanish_cutoff) == 0
+        skip = np.any([pair_rule.signs(f[rs], face_scale, VANISH_CUTOFF) == 0
                        for f in face_dets], axis=0)
         # A side's sign is settled when the value is clearly zero (within
         # lo) or clearly nonzero (beyond hi); a value in between could be
         # either.  Only two settled, different signs refute.  On exact data
         # every sign is settled, so this is plain sign equality.
         lo = tol.rel_eps
-        hi = max(tol.vanish_cutoff, 1e3 * tol.rel_eps)
+        hi = max(VANISH_CUTOFF, 1e3 * tol.rel_eps)
         s_lo, s_hi = (pair_rule.signs(ln, scale_l, eps) for eps in (lo, hi))
         p_lo, p_hi = (pair_rule.signs(lnp, scale_lp, eps) for eps in (lo, hi))
         refuted = ~skip & (s_lo == s_hi) & (p_lo == p_hi) & (s_hi != p_hi)

@@ -8,9 +8,11 @@ from affeq.cmdet import (
     EmbeddabilityReport,
     Side,
     SquaredDistanceMatrix,
+    _defects,
     _evaluate,
     _Rule,
     _linear_forms,
+    _subsets,
     cmd,
     menger_check,
     quadratic_slice,
@@ -479,3 +481,59 @@ class TestRuleSigns:
     def test_empty(self):
         assert _Rule(False).signs([], 1.0).tolist() == []
         assert _Rule(True).signs([], np.empty(0)).tolist() == []
+
+
+class TestSubsets:
+    @pytest.mark.parametrize("n", range(9))
+    def test_matches_combinations(self, n):
+        for size in range(n + 2):
+            idx = _subsets(n, size)
+            assert idx.dtype == np.intp
+            assert idx.shape == (len(list(combinations(range(n), size))), size)
+            assert [tuple(row) for row in idx.tolist()] == list(combinations(range(n), size))
+            assert not idx.flags.writeable
+        assert _subsets(n, n + 1).shape == (0, n + 1)
+
+    def test_read_only_and_shared(self):
+        idx = _subsets(5, 3)
+        with pytest.raises(ValueError):
+            idx[0, 0] = 4
+        assert _subsets(5, 3) is idx
+
+
+class TestDefects:
+    """``_defects`` is the scalar sign test, subset by subset: the legal
+    sign ``(-1)**size`` up to d+1 points, flatness on d+2 points."""
+
+    D = 2
+
+    def scalar(self, rule, size, values, scales):
+        if size == self.D + 2:
+            return [rule.sign(v, s) != 0 for v, s in zip(values, scales)]
+        return [rule.sign((-1) ** size * v, s) < 0 for v, s in zip(values, scales)]
+
+    @pytest.mark.parametrize("size", [2, 3, 4])
+    def test_floats(self, size):
+        rule = _Rule(False, 1e-9)
+        values = [0.0, -0.0, 1.0, -1.0, 1e-10, -1e-10, np.inf, -np.inf, np.nan, 2e-9, -2e-9]
+        scales = [1.0] * 6 + [np.inf, 1.0, 1.0, 1.0, 1.0]
+        got = _defects(rule, self.D, size, np.array(values), np.array(scales))
+        assert got.tolist() == self.scalar(rule, size, values, scales)
+
+    def test_nan_fails_at_odd_and_even_sizes(self):
+        rule = _Rule(False)
+        for size in (2, 3, 4):
+            assert _defects(rule, self.D, size, [np.nan], [1.0]).tolist() == [True]
+
+    @pytest.mark.parametrize("size", [2, 3, 4])
+    def test_exact_fractions(self, size):
+        rule = _Rule(True)
+        values = [Fraction(0), Fraction(1, 10**30), Fraction(-1, 10**30), Fraction(-5, 3), 7]
+        scales = [1.0] * len(values)
+        for dets in (values, np.asarray(values, dtype=object)):
+            got = _defects(rule, self.D, size, dets, scales)
+            assert got.tolist() == self.scalar(rule, size, values, scales)
+
+    def test_empty(self):
+        for size in (2, 3, 4):
+            assert _defects(_Rule(True), self.D, size, [], np.empty(0)).tolist() == []

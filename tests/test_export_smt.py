@@ -209,6 +209,30 @@ class TestExportText:
         assert hashlib.sha256(export_smt(inst).encode()).hexdigest() == digest
 
 
+def export_corpus():
+    """Seeded instances with n >= d+1, each followed by a rational twin with
+    ``Fraction`` lengths on one side and ints on the other."""
+    for seed, (n, d), density in itertools.product(
+            (0, 1),
+            ((2, 1), (3, 1), (4, 1), (5, 1), (3, 2), (4, 2), (5, 2), (4, 3), (5, 3)),
+            (0.0, 0.5, 1.0)):
+        inst, _ = random_instance(seed, n, d, density)
+        yield inst
+        yield Instance(n, d, inst.edges,
+                       tuple(Fraction(round(7 * v) + 1, 3) for v in inst.lam),
+                       tuple(round(7 * v) + 1 for v in inst.lam_prime))
+
+
+# One SHA-256 over the text of all 108 exports; any change to a declaration,
+# assertion or comment line must show here.
+def test_export_smt_corpus_pinned():
+    digest = hashlib.sha256()
+    for inst in export_corpus():
+        digest.update(export_smt(inst).encode())
+    assert digest.hexdigest() == (
+        "32ec1df08998f27b1425519d373b581ec121087deace7ba0d8964d63defd1299")
+
+
 class TestModelRoundTrip:
     def assignment_from_model(self, inst, model):
         """Assignment an external solver's model would pin down."""

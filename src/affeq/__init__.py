@@ -62,9 +62,7 @@ from .system import (
     ConditionEntry,
     ConditionReport,
     Instance,
-    SystemDescription,
     Tolerances,
-    build_system,
     check_assignment,
     estimate_alpha,
     find_base_simplex,
@@ -99,13 +97,11 @@ __all__ = [
     "SearchBudget",
     "Side",
     "SquaredDistanceMatrix",
-    "SystemDescription",
     "Tolerances",
     "UNKNOWN",
     "Verdict",
     "YES",
     "affine_from_simplex",
-    "build_system",
     "certificate_alpha",
     "check_assignment",
     "cmd",

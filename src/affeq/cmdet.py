@@ -28,6 +28,8 @@ that scale counts as zero.
 ``menger_check``, the checker of :mod:`affeq.system` and the solver's
 pinned-subsystem scan share one subset enumeration, ``_subsets``, and one
 test of the Cayley-Menger sign and flatness conditions, ``_defects``.
+:func:`affeq.smtexport.export_smt` writes its assertions over the same
+``_subsets``.
 """
 
 from __future__ import annotations

@@ -94,27 +94,25 @@ def distances_of(config: Configuration) -> SquaredDistanceMatrix:
     return SquaredDistanceMatrix(z.tolist())
 
 
-def _greedy_pivots(D: SquaredDistanceMatrix, d: int) -> list[int]:
+def _greedy_pivots(D: SquaredDistanceMatrix, d: int) -> tuple[list[int], float]:
     """Pick vertex 0 plus d more vertices greedily maximizing simplex volume.
 
     Equivalent to maximizing the normalized |bordered determinant| at each
     step; ties break toward the smallest vertex index, which keeps the gauge
-    deterministic.
+    deterministic.  Returns the pivots and the last step's normalized
+    |determinant|, that of the whole pivot simplex.
     """
     zf = D.as_array()
     pivots = [0]
-    remaining = sorted(set(range(1, D.n)))
+    remaining = list(range(1, D.n))
     while len(pivots) < d + 1:
         candidates = [tuple(pivots) + (j,) for j in remaining]
         dets = np.abs(bordered_det_batch(zf, candidates))
         scales = np.array([subset_scale(D, I) for I in candidates])
-        best = int(np.argmax(dets / scales))
+        norms = dets / scales
+        best = int(np.argmax(norms))
         pivots.append(remaining.pop(best))
-    return pivots
-
-
-def _cmd_float(zf: np.ndarray, index_set) -> float:
-    return float(bordered_det_batch(zf, [tuple(index_set)])[0])
+    return pivots, float(norms[best])
 
 
 def embed(D: SquaredDistanceMatrix, d: int,
@@ -133,8 +131,7 @@ def embed(D: SquaredDistanceMatrix, d: int,
 
     n = D.n
     zf = D.as_array()
-    pivots = _greedy_pivots(D, d)
-    pivot_norm = abs(_cmd_float(zf, pivots)) / subset_scale(D, pivots)
+    pivots, pivot_norm = _greedy_pivots(D, d)
     if pivot_norm < PIVOT_CONDITION_CUTOFF:
         warnings.warn(
             f"pivot simplex is nearly degenerate (normalized determinant "

@@ -12,23 +12,24 @@ member becomes one assertion:
   * flatness of every subset of d+2 vertices;
   * the common-ratio equation per (d+1)-subset;
   * one disjunction over candidate base simplices, each disjunct combining
-    strict nondegeneracy with the matched side-classification sign tests.
+    strict nondegeneracy with the matched side-classification sign tests
+    (``false`` when fewer than d+1 vertices leave no candidate).
 
-The subsets and side tests are those of :func:`affeq.system.build_system`.
-A side test's linear form is twice the cofactor of the tested entry in the
+The subsets are the checker's own, from :func:`affeq.cmdet._subsets`, and
+the side tests those of :func:`affeq.system._side_checks`.  Each side is an
+n x n table whose entries are rational constants (pinned squared lengths)
+or variable names (free pairs); :func:`affeq.linalg.bordered_matrix` lays a
+subset's rows out from it, as it does for the numeric kernels.  A side
+test's linear form is twice the cofactor of the tested entry in the
 bordered matrix, the same identity the checker evaluates numerically.
 """
 
 from __future__ import annotations
 
-import itertools
-
+from .cmdet import _subsets
 from .errors import InputError
-from .linalg import to_fraction
-from .system import Instance, build_system
-
-_CONST_ZERO = ("const", 0)
-_CONST_ONE = ("const", 1)
+from .linalg import bordered_matrix, to_fraction
+from .system import Instance, _side_checks
 
 
 def variable_name(side: str, i: int, j: int) -> str:
@@ -55,17 +56,10 @@ def _padd(a: dict, b: dict) -> dict:
 
 
 def _pmul_entry(p: dict, entry) -> dict:
-    kind, payload = entry
-    out = {}
-    if kind == "const":
-        if payload == 0:
-            return out
-        for mono, coeff in p.items():
-            out[mono] = coeff * payload
-        return out
-    for mono, coeff in p.items():
-        out[tuple(sorted(mono + (payload,)))] = coeff
-    return out
+    """``p`` times a table entry: a variable name or a nonzero constant."""
+    if isinstance(entry, str):
+        return {tuple(sorted(mono + (entry,))): coeff for mono, coeff in p.items()}
+    return {mono: coeff * entry for mono, coeff in p.items()}
 
 
 def _pneg(p: dict) -> dict:
@@ -73,8 +67,8 @@ def _pneg(p: dict) -> dict:
 
 
 def _det(rows) -> dict:
-    """Determinant of a matrix of ('const', rational) / ('var', name)
-    entries, by first-row expansion with memoized minors."""
+    """Determinant of a matrix of rational constants and variable names, by
+    first-row expansion with memoized minors."""
     size = len(rows)
     memo = {}
 
@@ -87,7 +81,7 @@ def _det(rows) -> dict:
         total = {}
         for idx, c in enumerate(cols):
             entry = rows[r][c]
-            if entry[0] == "const" and entry[1] == 0:
+            if not isinstance(entry, str) and entry == 0:
                 continue
             term = _pmul_entry(minor(r + 1, cols[:idx] + cols[idx + 1:]), entry)
             total = _padd(total, _pneg(term) if idx % 2 else term)
@@ -97,28 +91,17 @@ def _det(rows) -> dict:
     return minor(0, tuple(range(size)))
 
 
-def _bordered_rows(subset, entry_fn):
-    k = len(subset)
-    rows = [[_CONST_ZERO] + [_CONST_ONE] * k]
-    for a, i in enumerate(subset):
-        row = [_CONST_ONE]
-        for b, j in enumerate(subset):
-            row.append(_CONST_ZERO if a == b else entry_fn(i, j))
-        rows.append(row)
-    return rows
-
-
-def _cmd_poly(subset, entry_fn) -> dict:
+def _cmd_poly(subset, table) -> dict:
     """Bordered determinant of the subset as a polynomial."""
-    return _det(_bordered_rows(subset, entry_fn))
+    return _det(bordered_matrix(table, subset))
 
 
-def _linear_form(subset, pair, entry_fn) -> dict:
+def _linear_form(subset, pair, table) -> dict:
     """Derivative of the subset's bordered determinant in the entry of
     ``pair``: twice that entry's cofactor, as in ``cmdet._linear_forms``."""
     a, b = subset.index(pair[0]) + 1, subset.index(pair[1]) + 1
     minor = [row[:b] + row[b + 1:]
-             for k, row in enumerate(_bordered_rows(subset, entry_fn)) if k != a]
+             for k, row in enumerate(bordered_matrix(table, subset)) if k != a]
     sign = 2 * (-1) ** (a + b)
     return {mono: sign * coeff for mono, coeff in _det(minor).items()}
 
@@ -158,64 +141,65 @@ def export_smt(inst: Instance) -> str:
     if not isinstance(inst, Instance):
         raise InputError("export_smt expects an Instance")
     n, d = inst.n, inst.d
-    desc = build_system(inst)
 
-    def entries(side, lengths):
-        # Exact binary squares of float lengths, unlike desc.pinned; ints
-        # where they are integral, so integer data stays in int arithmetic.
-        squares = (to_fraction(v) ** 2 for v in lengths)
-        pinned = {e: c.numerator if c.denominator == 1 else c
-                  for e, c in zip(inst.edges, squares)}
+    def subsets(size):
+        return [tuple(s) for s in _subsets(n, size).tolist()]
 
-        def entry(i, j):
-            key = (min(i, j), max(i, j))
-            if key in pinned:
-                return ("const", pinned[key])
-            return ("var", variable_name(side, i, j))
-        return entry
+    def table(side, lengths):
+        # Exact binary squares of float lengths; ints where they are
+        # integral, so integer data stays in int arithmetic.
+        tab = [[variable_name(side, i, j) if i != j else 0 for j in range(n)]
+               for i in range(n)]
+        for (i, j), v in zip(inst.edges, lengths):
+            c = to_fraction(v) ** 2
+            tab[i][j] = tab[j][i] = c.numerator if c.denominator == 1 else c
+        return tab
 
-    sides = (("z", entries("z", inst.lam)),
-             ("z_prime", entries("z_prime", inst.lam_prime)))
+    free_pairs = [pair for pair in subsets(2) if pair not in inst.edge_set]
+    simplices = subsets(d + 1)
+    sides = (("z", table("z", inst.lam)),
+             ("z_prime", table("z_prime", inst.lam_prime)))
     # Each (d+1)-subset determinant serves the sign rule, the ratio
     # equation and the base disjuncts.
-    simplex = {name: {s: _cmd_poly(s, fn) for s in desc.simplex_subsets}
-               for name, fn in sides}
+    simplex = {name: {s: _cmd_poly(s, tab) for s in simplices}
+               for name, tab in sides}
     out = [
         "(set-logic QF_NRA)",
         f"; squared-distance feasibility system: n={n}, d={d}, "
-        f"{len(desc.free_pairs)} free pairs per side",
+        f"{len(free_pairs)} free pairs per side",
         "; pinned entries are substituted as rational constants",
     ]
-    for i, j in desc.free_pairs:
+    for i, j in free_pairs:
         out.append(f"(declare-const {variable_name('z', i, j)} Real)")
         out.append(f"(declare-const {variable_name('z_prime', i, j)} Real)")
     out.append("(declare-const alpha Real)")
 
     out.append("; nonnegativity of free squared distances, positivity of alpha")
-    for i, j in desc.free_pairs:
+    for i, j in free_pairs:
         out.append(f"(assert (>= {variable_name('z', i, j)} 0))")
         out.append(f"(assert (>= {variable_name('z_prime', i, j)} 0))")
     out.append("(assert (> alpha 0))")
 
-    for size, subsets in itertools.groupby(desc.sign_subsets, len):
+    # Sizes 1 and 2 are left out: there the sign rule is nonnegativity.
+    for size in range(3, min(d + 1, n) + 1):
         out.append(f"; sign rule on subsets of {size} vertices")
-        for subset in subsets:
-            for name, fn in sides:
-                poly = simplex[name][subset] if size == d + 1 else _cmd_poly(subset, fn)
+        for subset in subsets(size):
+            for name, tab in sides:
+                poly = simplex[name][subset] if size == d + 1 else _cmd_poly(subset, tab)
                 if size % 2:
                     poly = _pneg(poly)
                 out.append(f"; subset {subset}, side {name}")
                 out.append(f"(assert (>= {_poly_text(poly)} 0))")
 
-    if desc.vanish_subsets:
+    if n >= d + 2:
         out.append(f"; flatness of subsets of {d + 2} vertices")
-        for subset in desc.vanish_subsets:
-            for name, fn in sides:
+        for subset in subsets(d + 2):
+            for name, tab in sides:
                 out.append(f"; subset {subset}, side {name}")
-                out.append(f"(assert (= {_poly_text(_cmd_poly(subset, fn))} 0))")
+                out.append(f"(assert (= {_poly_text(_cmd_poly(subset, tab))} 0))")
 
     out.append("; common determinant ratio on subsets of d+1 vertices")
-    for subset in desc.simplex_subsets:
+    for subset in simplices:
         lhs = _poly_text(simplex["z_prime"][subset])
         rhs = _poly_text(simplex["z"][subset])
         out.append(f"; subset {subset}")
@@ -226,24 +210,28 @@ def export_smt(inst: Instance) -> str:
     # symmetric, so the form does not depend on the pair's order.
     forms = {}
 
-    def form_text(name, fn, subset, pair):
+    def form_text(name, tab, subset, pair):
         key = (name, subset, frozenset(pair))
         if key not in forms:
-            forms[key] = _poly_text(_linear_form(subset, pair, fn))
+            forms[key] = _poly_text(_linear_form(subset, pair, tab))
         return forms[key]
 
     out.append("; some base simplex is nondegenerate and matches all side tests")
     disjuncts = []
-    for base in desc.simplex_subsets:
+    for base in simplices:
         poly = simplex["z"][base]
         clauses = [f"(> {_poly_text(_pneg(poly) if (d + 1) % 2 else poly)} 0)"]
-        for _, _, subset, pair in desc.side_checks(base):
-            lz, lp = (form_text(name, fn, subset, pair) for name, fn in sides)
+        for _, _, subset, pair in _side_checks(n, base):
+            lz, lp = (form_text(name, tab, subset, pair) for name, tab in sides)
             clauses.append(f"(and (= (> {lz} 0) (> {lp} 0)) "
                            f"(= (< {lz} 0) (< {lp} 0)))")
         disjuncts.append("(and " + " ".join(clauses) + ")" if len(clauses) > 1
                          else clauses[0])
-    if len(disjuncts) == 1:
+    if not disjuncts:
+        # Fewer than d+1 vertices: no base simplex, and core `or` needs two
+        # arguments, so the empty disjunction is written as false.
+        out.append("(assert false)")
+    elif len(disjuncts) == 1:
         out.append(f"(assert {disjuncts[0]})")
     else:
         out.append("(assert (or " + " ".join(disjuncts) + "))")

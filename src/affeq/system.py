@@ -32,7 +32,6 @@ instance's lengths are rational; otherwise every test follows
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, combinations
 from typing import Optional
 
 import numpy as np
@@ -182,50 +181,14 @@ class Tolerances:
             raise InputError("rel_eps must be positive")
 
 
-@dataclass(frozen=True)
-class SystemDescription:
-    """Enumerated constraint families for one instance.
-
-    ``free_pairs`` are the non-edge vertex pairs (one unknown per side per
-    pair); ``pinned`` maps each edge to its prescribed squared lengths.
-    Subsets of sizes 1 and 2 are omitted from ``sign_subsets`` because the
-    sign rule there reduces to nonnegativity, already condition (6).
-    """
-
-    n: int
-    d: int
-    free_pairs: tuple
-    pinned: dict = field(hash=False)
-    sign_subsets: tuple
-    simplex_subsets: tuple
-    vanish_subsets: tuple
-
-    def side_checks(self, base):
-        """(vertex, r, subset, pair) tuples for condition (12) over a base."""
-        return _side_checks(self.n, base)
-
-
 def _side_checks(n, base):
-    """See :meth:`SystemDescription.side_checks`."""
+    """Condition (12)'s tests over a base simplex, as ``(j, r, subset, pair)``
+    tuples: for each vertex j outside the base (ascending) and each base
+    vertex ``base[r]``, the sorted (d+2)-subset ``base + (j,)`` and the pair
+    ``(base[r], j)`` whose entry the side test varies."""
     base = tuple(base)
     return tuple((j, r, tuple(sorted(base + (j,))), (i_r, j))
                  for j in range(n) if j not in base for r, i_r in enumerate(base))
-
-
-def build_system(inst: Instance) -> SystemDescription:
-    """Enumerate free variables, pinned entries and all constraint subsets."""
-    n, d, edges = inst.n, inst.d, inst.edge_set
-    lam_sq, lam_prime_sq = inst.lam_sq(), inst.lam_prime_sq()
-    return SystemDescription(
-        n=n,
-        d=d,
-        free_pairs=tuple(pair for pair in combinations(range(n), 2) if pair not in edges),
-        pinned={e: (lam_sq[e], lam_prime_sq[e]) for e in inst.edges},
-        sign_subsets=tuple(chain.from_iterable(
-            combinations(range(n), size) for size in range(3, min(d + 1, n) + 1))),
-        simplex_subsets=tuple(combinations(range(n), d + 1)),
-        vanish_subsets=tuple(combinations(range(n), d + 2)),
-    )
 
 
 def find_base_simplex(z: SquaredDistanceMatrix, d: int, rel_eps: float = 1e-9,

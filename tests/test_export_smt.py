@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from affeq import smtexport
-from affeq.cmdet import SquaredDistanceMatrix, cmd, quadratic_slice
+from affeq.cmdet import SquaredDistanceMatrix, _subsets, cmd, quadratic_slice
 from affeq.errors import InputError
 from affeq.smtexport import (
     _cmd_poly,
@@ -18,7 +18,7 @@ from affeq.smtexport import (
     variable_name,
 )
 from affeq.solver import random_instance
-from affeq.system import Assignment, Instance, build_system, check_assignment
+from affeq.system import Assignment, Instance, _side_checks, check_assignment
 
 from helpers import random_rational_sdm_rows
 
@@ -37,8 +37,13 @@ def eval_poly(poly, env):
     return total
 
 
-def const_entry(matrix):
-    return lambda i, j: ("const", Fraction(matrix[i][j]))
+def const_table(matrix):
+    return [[Fraction(x) for x in row] for row in matrix]
+
+
+def var_table(n):
+    return [[variable_name("z", i, j) if i != j else 0 for j in range(n)]
+            for i in range(n)]
 
 
 class TestPolynomialEngine:
@@ -50,7 +55,7 @@ class TestPolynomialEngine:
             D = SquaredDistanceMatrix(rows)
             subset = tuple(sorted(rng.choice(n, size=int(rng.integers(2, n + 1)),
                                              replace=False).tolist()))
-            poly = _cmd_poly(subset, const_entry(rows))
+            poly = _cmd_poly(subset, const_table(rows))
             assert eval_poly(poly, {}) == cmd(D, subset)
 
     def test_variable_entries_evaluate_to_kernel(self):
@@ -60,11 +65,7 @@ class TestPolynomialEngine:
             rows = random_rational_sdm_rows(rng, n)
             D = SquaredDistanceMatrix(rows)
             subset = tuple(range(n))
-
-            def entry(i, j):
-                return ("var", variable_name("z", i, j))
-
-            poly = _cmd_poly(subset, entry)
+            poly = _cmd_poly(subset, var_table(n))
             env = {variable_name("z", i, j): Fraction(rows[i][j])
                    for i in range(n) for j in range(i + 1, n)}
             assert eval_poly(poly, env) == cmd(D, subset)
@@ -77,11 +78,7 @@ class TestPolynomialEngine:
             D = SquaredDistanceMatrix(rows)
             subset = tuple(range(n))
             i, j = sorted(rng.choice(n, size=2, replace=False).tolist())
-
-            def entry(a, b):
-                return ("var", variable_name("z", a, b))
-
-            linear = _linear_form(subset, (i, j), entry)
+            linear = _linear_form(subset, (i, j), var_table(n))
             env = {variable_name("z", a, b): Fraction(rows[a][b])
                    for a in range(n) for b in range(a + 1, n)}
             slice_ = quadratic_slice(D, subset, (i, j))
@@ -154,26 +151,25 @@ class TestExportText:
         # which is symmetric in the pair; each is built once per side.
         built = []
 
-        def counting(subset, pair, entry_fn):
+        def counting(subset, pair, table):
             built.append((subset, frozenset(pair)))
-            return _linear_form(subset, pair, entry_fn)
+            return _linear_form(subset, pair, table)
 
         monkeypatch.setattr(smtexport, "_linear_form", counting)
         for n, d in ((4, 1), (6, 2), (6, 3)):
             inst, _ = random_instance(0, n, d, 0.5)
             built.clear()
             export_smt(inst)
-            desc = build_system(inst)
             distinct = {(subset, frozenset(pair))
-                        for base in desc.simplex_subsets
-                        for _, _, subset, pair in desc.side_checks(base)}
+                        for base in _subsets(n, d + 1).tolist()
+                        for _, _, subset, pair in _side_checks(n, base)}
             assert len(built) == 2 * len(distinct)
             assert set(built) == distinct
-            entry = lambda i, j: ("var", variable_name("z", i, j))
+            table = var_table(n)
             for subset, pair in distinct:
                 i, j = sorted(pair)
-                assert (_linear_form(subset, (i, j), entry)
-                        == _linear_form(subset, (j, i), entry))
+                assert (_linear_form(subset, (i, j), table)
+                        == _linear_form(subset, (j, i), table))
 
     def test_flatness_emitted_above_dimension(self):
         inst = Instance.from_lengths(
@@ -186,6 +182,13 @@ class TestExportText:
         text = export_smt(inst)
         # the pair determinant doubles the pinned 25/4
         assert "(/ 25 2)" in text
+
+    def test_too_few_vertices_for_a_base_simplex(self):
+        # No (d+1)-subset, so no base disjunct: the empty disjunction is
+        # false, written without a zero-argument `or`.
+        lines = export_smt(Instance(3, 4, ((0, 1),), (2,), (1,))).splitlines()
+        assert not any("(or )" in line for line in lines)
+        assert lines[-3:] == ["(assert false)", "(check-sat)", "(get-model)"]
 
     def test_rejects_non_instance(self):
         with pytest.raises(InputError):

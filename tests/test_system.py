@@ -21,7 +21,7 @@ from affeq.system import (
     Instance,
     Tolerances,
     _Family,
-    build_system,
+    _side_checks,
     check_assignment,
     estimate_alpha,
     find_base_simplex,
@@ -117,35 +117,9 @@ class TestAssignment:
         assert not Assignment(Z_345, Z_6810, 16.0).exact
 
 
-class TestBuildSystem:
-    def test_k3_plane(self):
-        desc = build_system(K3)
-        assert desc.free_pairs == ()
-        assert desc.sign_subsets == ((0, 1, 2),)
-        assert desc.simplex_subsets == ((0, 1, 2),)
-        assert desc.vanish_subsets == ()
-        assert desc.pinned[(0, 1)] == (9, 36)
-
-    def test_path_on_line(self):
-        inst = Instance.from_lengths(3, 1, {(0, 1): (3, 6), (1, 2): (4, 8)})
-        desc = build_system(inst)
-        assert desc.free_pairs == ((0, 2),)
-        assert desc.sign_subsets == ()
-        assert len(desc.simplex_subsets) == 3
-        assert desc.vanish_subsets == ((0, 1, 2),)
-
-    def test_k4_plane(self):
-        inst = complete_instance_from_points(SQUARE_PTS, SKEW_PTS, 2)
-        desc = build_system(inst)
-        assert desc.free_pairs == ()
-        assert len(desc.sign_subsets) == 4
-        assert len(desc.simplex_subsets) == 4
-        assert desc.vanish_subsets == ((0, 1, 2, 3),)
-
+class TestSideChecks:
     def test_side_checks(self):
-        desc = build_system(complete_instance_from_points(SQUARE_PTS, SKEW_PTS, 2))
-        checks = desc.side_checks((0, 1, 2))
-        assert checks == (
+        assert _side_checks(4, (0, 1, 2)) == (
             (3, 0, (0, 1, 2, 3), (0, 3)),
             (3, 1, (0, 1, 2, 3), (1, 3)),
             (3, 2, (0, 1, 2, 3), (2, 3)),
@@ -315,7 +289,7 @@ class TestCheckAssignmentFail:
                 report = check_assignment(inst, Assignment(a.z, a.z_prime, 2 * a.alpha))
                 entry = report.entry("11")
                 assert not entry.passed
-                assert entry.witness["subset"] == list(build_system(inst).simplex_subsets[0])
+                assert entry.witness["subset"] == list(range(inst.d + 1))
 
     def test_k4_ratio_mismatch(self):
         inst = complete_instance_from_points(SQUARE_PTS, SKEW_PTS, 2)

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -16,8 +17,8 @@ import pytest
 
 from affeq import solver
 from affeq.cmdet import SquaredDistanceMatrix, menger_check
-from affeq.embedding import Configuration
-from affeq.errors import InputError
+from affeq.embedding import Configuration, embed
+from affeq.errors import EmbeddabilityError, InputError
 from affeq.reconstruct import verify_problem1
 from affeq.solver import (
     DET_BARRIER,
@@ -637,6 +638,63 @@ def test_pinned_scan_json_pinned():
     digest = hashlib.sha256(pinned_scan_json().encode()).hexdigest()
     assert digest == (
         "8975283c1a0fa2be0187f2ee956b4b3a9e1fbd8d79659ea317fb2f3fbbaeaab1")
+
+
+def embed_and_complete_solve_json():
+    """``embed`` outputs and complete-graph ``solve`` verdicts, with the
+    warnings each emits, floats rounded to 9 significant digits: Cholesky
+    and triangular-solve last bits depend on the BLAS build, and some of
+    about a thousand coordinates would round differently at 12.
+
+    ``embed`` runs on float, integer lattice and thin (last coordinate times
+    1e-5) point sets of d+1 to d+7 points in dimensions 1-3, at d and d+1.
+    ``solve`` runs on complete planted instances of the solve-planted cells
+    and (5, 1), each with a twin whose first second-side length is times
+    1.3, with every length times 1, 1e-4 and 1e6.
+    """
+    rng = np.random.default_rng(7)
+    lines = []
+    for d in (1, 2, 3):
+        for n in range(d + 1, d + 8):
+            pts = rng.normal(size=(n, d))
+            grid = rng.choice(8**d, size=n, replace=False)
+            lattice = [[int(c) // 8**k % 8 for k in range(d)] for c in grid]
+            thin = pts * np.r_[np.ones(d - 1), 1e-5]
+            for points in (pts.tolist(), lattice, thin.tolist()):
+                D = SquaredDistanceMatrix(squared_distance_rows(points))
+                for dim in (d, d + 1):
+                    with warnings.catch_warnings(record=True) as caught:
+                        warnings.simplefilter("always")
+                        try:
+                            out = [list(pt) for pt in embed(D, dim).points]
+                        except EmbeddabilityError as exc:
+                            out = dataclasses.asdict(exc.report)
+                    lines.append(json.dumps(
+                        [_rounded(out, 9), [str(w.message) for w in caught]]))
+    budget = SearchBudget(restarts=1)
+    for seed in range(6):
+        for n, d in [(5, 1), (6, 2), (6, 3), (8, 2), (8, 3), (10, 2), (10, 3)]:
+            inst, _ = random_instance(seed, n, d, 1.0)
+            twin = (inst.lam_prime[0] * 1.3,) + inst.lam_prime[1:]
+            for scale, lam_prime in itertools.product((1.0, 1e-4, 1e6),
+                                                      (inst.lam_prime, twin)):
+                scaled = Instance(n, d, inst.edges, tuple(v * scale for v in inst.lam),
+                                  tuple(v * scale for v in lam_prime))
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    doc = solve(scaled, budget).to_dict()
+                lines.append(json.dumps([_rounded(doc, 9), [str(w.message) for w in caught]],
+                                        sort_keys=True))
+    return "\n".join(lines)
+
+
+# SHA-256 of embed_and_complete_solve_json; any change to embed's
+# coordinates, errors or warnings, or to a complete-graph verdict, must show
+# here.
+def test_embed_and_complete_solve_json_pinned():
+    digest = hashlib.sha256(embed_and_complete_solve_json().encode()).hexdigest()
+    assert digest == (
+        "d0b52158bdbb45411c4cf1f1354ccdc522584bd5a7840d35ff38a0faed85c92a")
 
 
 def test_import_loads_no_scipy():

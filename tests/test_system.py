@@ -397,15 +397,15 @@ class TestReportShape:
             check_assignment(K3, Assignment(Z_345, Z_6810, 16), decisions="fast")
 
 
-def _rounded(value):
-    """Floats to 12 significant digits: the last bits of a LAPACK
+def _rounded(value, digits=12):
+    """Floats to ``digits`` significant digits: the last bits of a LAPACK
     determinant depend on the BLAS build and the CPU it dispatches to."""
     if isinstance(value, float):
-        return float(f"{value:.12g}")
+        return float(f"{value:.{digits}g}")
     if isinstance(value, dict):
-        return {k: _rounded(v) for k, v in value.items()}
+        return {k: _rounded(v, digits) for k, v in value.items()}
     if isinstance(value, list):
-        return [_rounded(v) for v in value]
+        return [_rounded(v, digits) for v in value]
     return value
 
 

@@ -181,10 +181,7 @@ def _check_subset(D, index_set):
 
 def subset_scale(D: SquaredDistanceMatrix, index_set) -> float:
     """Relative comparison scale ``M**(|I|-1)``, 1.0 for an all-zero block."""
-    m = D.max_over(index_set)
-    if m == 0.0:
-        return 1.0
-    return m ** (len(index_set) - 1)
+    return float(_scales(D, np.asarray([index_set], dtype=np.intp))[0])
 
 
 def cmd(D: SquaredDistanceMatrix, index_set):
@@ -274,6 +271,13 @@ def _subset_max(D: SquaredDistanceMatrix, idx) -> np.ndarray:
     return np.abs(D.as_array()[idx[:, a], idx[:, b]]).max(axis=1, initial=0.0)
 
 
+def _scales(D: SquaredDistanceMatrix, idx) -> np.ndarray:
+    """:func:`subset_scale` for each row of a 2-D index array."""
+    # Python's pow, so each scale is the float M**(|I|-1) of one subset.
+    return np.array([m ** (idx.shape[1] - 1) if m != 0.0 else 1.0
+                     for m in _subset_max(D, idx).tolist()])
+
+
 def _evaluate(D: SquaredDistanceMatrix, subsets):
     """Bordered determinants over same-size subsets, with their scales.
 
@@ -289,9 +293,7 @@ def _evaluate(D: SquaredDistanceMatrix, subsets):
         return [], np.empty(0)
     idx = np.asarray(subsets, dtype=np.intp)
     size = idx.shape[1]
-    # Python's pow, so each scale is the float subset_scale gives.
-    scales = np.array([m ** (size - 1) if m != 0.0 else 1.0
-                       for m in _subset_max(D, idx).tolist()])
+    scales = _scales(D, idx)
     if D.exact:
         # Degree size-1 in the entries; the empty set's determinant is 0.
         power = D._den ** max(size - 1, 0)

@@ -14,12 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cmdet import (
-    DEFAULT_REL_EPS,
-    SquaredDistanceMatrix,
-    menger_check,
-    subset_scale,
-)
+from .cmdet import DEFAULT_REL_EPS, SquaredDistanceMatrix, _scales, menger_check
 from .errors import EmbeddabilityError, InputError
 from .linalg import bordered_det_batch, is_exact_value
 
@@ -106,10 +101,8 @@ def _greedy_pivots(D: SquaredDistanceMatrix, d: int) -> tuple[list[int], float]:
     pivots = [0]
     remaining = list(range(1, D.n))
     while len(pivots) < d + 1:
-        candidates = [tuple(pivots) + (j,) for j in remaining]
-        dets = np.abs(bordered_det_batch(zf, candidates))
-        scales = np.array([subset_scale(D, I) for I in candidates])
-        norms = dets / scales
+        candidates = np.array([pivots + [j] for j in remaining], dtype=np.intp)
+        norms = np.abs(bordered_det_batch(zf, candidates)) / _scales(D, candidates)
         best = int(np.argmax(norms))
         pivots.append(remaining.pop(best))
     return pivots, float(norms[best])
@@ -128,8 +121,12 @@ def embed(D: SquaredDistanceMatrix, d: int,
     report = menger_check(D, d, rel_eps)
     if not report.passes:
         raise EmbeddabilityError(report)
+    return _coordinates(D, d)
 
-    n = D.n
+
+def _coordinates(D: SquaredDistanceMatrix, d: int) -> Configuration:
+    """The coordinate step of :func:`embed`, for a matrix already known to
+    embed in R^d: nothing is checked here."""
     zf = D.as_array()
     pivots, pivot_norm = _greedy_pivots(D, d)
     if pivot_norm < PIVOT_CONDITION_CUTOFF:
@@ -137,17 +134,16 @@ def embed(D: SquaredDistanceMatrix, d: int,
             f"pivot simplex is nearly degenerate (normalized determinant "
             f"{pivot_norm:.3e}); coordinates may be inaccurate",
             ConditioningWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
 
-    i0 = pivots[0]
-    others = pivots[1:]
-    # Gram matrix of the pivot edge vectors rooted at i0.
-    g = np.empty((d, d))
-    for a, pa in enumerate(others):
-        for b, pb in enumerate(others):
-            g[a, b] = (zf[i0, pa] + zf[i0, pb] - zf[pa, pb]) / 2.0
-    g = (g + g.T) / 2.0
+    i0, others = pivots[0], pivots[1:]
+    non_pivots = [j for j in range(D.n) if j not in pivots]
+    # Inner products of the pivot edge vectors out of i0 with the edge
+    # vectors to the pivots (their Gram matrix) and to every other point.
+    cols = others + non_pivots
+    gram = (zf[i0, others][:, None] + zf[i0, cols] - zf[np.ix_(others, cols)]) / 2.0
+    g, rhs = gram[:, :d], gram[:, d:]
     try:
         chol = np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
@@ -157,17 +153,8 @@ def embed(D: SquaredDistanceMatrix, d: int,
         ridge = max(w.max(), 1.0) * 1e-14
         chol = np.linalg.cholesky((q * w) @ q.T + ridge * np.eye(d))
 
-    coords = np.zeros((n, d))
-    for a, pa in enumerate(others):
-        coords[pa] = chol[a]
-    non_pivots = [j for j in range(n) if j not in pivots]
-    if non_pivots:
-        rhs = np.empty((d, len(non_pivots)))
-        for col, j in enumerate(non_pivots):
-            for a, pa in enumerate(others):
-                rhs[a, col] = (zf[i0, j] + zf[i0, pa] - zf[pa, j]) / 2.0
-        sol = np.linalg.solve(chol, rhs)
-        # chol rows are the pivot coordinates; x_pa . y_j = rhs entries.
-        for col, j in enumerate(non_pivots):
-            coords[j] = sol[:, col]
+    coords = np.zeros((D.n, d))
+    # chol rows are the pivot coordinates; x_pa . y_j = rhs entries.
+    coords[others] = chol
+    coords[non_pivots] = np.linalg.solve(chol, rhs).T
     return Configuration.from_array(coords)

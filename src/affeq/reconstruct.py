@@ -11,6 +11,7 @@ lengths on both sides, pointwise agreement under the map, and a
 full-dimensional affine hull.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -19,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .cmdet import cmd
-from .embedding import Configuration, distances_of, embed
+from .embedding import Configuration, _coordinates, distances_of
 from .errors import InputError, PreconditionError, ReconstructionError
 from .linalg import det_any, is_exact_value, solve_exact
 from .system import Assignment, Instance, Tolerances, check_assignment
@@ -174,8 +175,11 @@ def verify_problem1(inst: Instance, p: Configuration, p_prime: Configuration,
     """Check both edge-length prescriptions, the map residual and the hull.
 
     Length and map residuals are reported relative to the diameter of the
-    relevant configuration, so ``tol`` is a dimensionless bound.
+    relevant configuration, so ``tol`` is a dimensionless bound; it must be
+    positive and finite.
     """
+    if not 0 < tol < math.inf:
+        raise InputError(f"tolerance must be positive and finite, got {tol}")
     if p.n != inst.n or p_prime.n != inst.n:
         raise InputError("configurations must cover all vertices")
     if p.dim != inst.d or p_prime.dim != inst.d or amap.dim != inst.d:
@@ -230,7 +234,11 @@ def reconstruct(inst: Instance, a: Assignment, tol: Tolerances = Tolerances()):
     """Build configurations and the affine map realizing a checked assignment.
 
     Embeds both matrices and maps the base simplex of the first embedding
-    onto the corresponding points of the second.  One fit suffices: d+1
+    onto the corresponding points of the second.  The checker decides
+    embeddability, so the embedding is :func:`embed`'s coordinate step with
+    no second check: families 6, 8 and 10 hold on both sides, family 9 on
+    ``z``, and family 11 ties the base determinant of ``z_prime`` to that
+    of ``z`` through ``alpha``, so both bases span.  One fit suffices: d+1
     affinely independent points fix the map, and the embedding gauge only
     composes it with an isometry of the second framework, which leaves
     every residual below unchanged.  Raises ``ReconstructionError`` unless
@@ -247,8 +255,8 @@ def reconstruct(inst: Instance, a: Assignment, tol: Tolerances = Tolerances()):
             report=report,
         )
     d = inst.d
-    p = embed(a.z, d, rel_eps=tol.rel_eps)
-    q = embed(a.z_prime, d, rel_eps=tol.rel_eps)
+    p = _coordinates(a.z, d)
+    q = _coordinates(a.z_prime, d)
     base = report.base_simplex
     amap = affine_from_simplex([p.points[i] for i in base],
                                [q.points[i] for i in base])

@@ -40,7 +40,6 @@ from .cmdet import SquaredDistanceMatrix, _defects, _evaluate, _Rule, _subsets
 from .embedding import Configuration, distances_of
 from .errors import (
     AffeqError,
-    EmbeddabilityError,
     InputError,
     InternalInconsistencyError,
     NoBaseSimplexError,
@@ -613,7 +612,7 @@ def _complete_decision(inst, budget, tol, fixed_left) -> Optional[Verdict]:
         if report is None:
             report = check_assignment(inst, assignment, tol)
         return _refuted("complete", "complete-pinned", report)
-    except (EmbeddabilityError, ReconstructionError, NoBaseSimplexError):
+    except ReconstructionError:
         return None
     cert = Certificate(assignment, p, p_prime, amap)
     if not verify_problem1(inst, p, p_prime, amap).passed:

@@ -11,7 +11,8 @@ package:
     (7)  squared distances on edges equal the prescribed squared lengths,
     (8)  bordered determinants carry the legal sign on every subset of at
          most d+1 vertices,
-    (9)  some (d+1)-subset (the base simplex) has a nonvanishing determinant,
+    (9)  some (d+1)-subset (the base simplex) has a nonvanishing determinant
+         on ``z``; family 11 carries it over to ``z_prime``,
     (10) bordered determinants vanish on every (d+2)-subset,
     (11) the determinant ratio between the two sides is the common constant
          alpha on every (d+1)-subset,
@@ -30,6 +31,7 @@ instance's lengths are rational; otherwise every test follows
 :class:`Tolerances`.
 """
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -73,7 +75,7 @@ def _canonical_edge(i, j):
 
 @dataclass(frozen=True)
 class Instance:
-    """A graph with two positive length prescriptions on its edges.
+    """A graph with two finite, positive length prescriptions on its edges.
 
     ``lam[k]`` and ``lam_prime[k]`` are the lengths of ``edges[k]``.  Edges
     are stored with the smaller endpoint first; bar endpoints must be
@@ -102,6 +104,9 @@ class Instance:
         if len(lam) != len(edges) or len(lam_prime) != len(edges):
             raise InputError("length lists must match the edge list")
         for value in lam + lam_prime:
+            # math.isfinite would overflow on a huge int.
+            if not (is_exact_value(value) or math.isfinite(value)):
+                raise InputError("edge lengths must be finite")
             if not value > 0:
                 raise InputError("edge lengths must be positive")
         object.__setattr__(self, "edges", edges)
@@ -177,8 +182,8 @@ class Tolerances:
     rel_eps: float = 1e-9
 
     def __post_init__(self):
-        if not self.rel_eps > 0:
-            raise InputError("rel_eps must be positive")
+        if not 0 < self.rel_eps < math.inf:
+            raise InputError("rel_eps must be positive and finite")
 
 
 def _side_checks(n, base):

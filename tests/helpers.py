@@ -133,6 +133,51 @@ def loop_jacobian(theta, ii, jj, n, d, fixed):
     return J
 
 
+def loop_coordinates(D, d):
+    """The coordinate step of ``embed``, one candidate and one entry at a time.
+
+    The loops that index arrays replaced, kept as their bitwise reference:
+    the same determinant kernel, scales and arithmetic in the same order.
+    Returns an (n, d) array and emits no warning.
+    """
+    from affeq.linalg import bordered_det_batch
+
+    zf = D.as_array()
+    pivots, remaining = [0], list(range(1, D.n))
+    while len(pivots) < d + 1:
+        candidates = [tuple(pivots) + (j,) for j in remaining]
+        scales = [D.max_over(I) ** (len(I) - 1) if D.max_over(I) else 1.0
+                  for I in candidates]
+        norms = np.abs(bordered_det_batch(zf, candidates)) / np.array(scales)
+        pivots.append(remaining.pop(int(np.argmax(norms))))
+    i0, others = pivots[0], pivots[1:]
+    g = np.empty((d, d))
+    for a, pa in enumerate(others):
+        for b, pb in enumerate(others):
+            g[a, b] = (zf[i0, pa] + zf[i0, pb] - zf[pa, pb]) / 2.0
+    g = (g + g.T) / 2.0
+    try:
+        chol = np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        w, q = np.linalg.eigh(g)
+        w = np.clip(w, 0.0, None)
+        ridge = max(w.max(), 1.0) * 1e-14
+        chol = np.linalg.cholesky((q * w) @ q.T + ridge * np.eye(d))
+    coords = np.zeros((D.n, d))
+    for a, pa in enumerate(others):
+        coords[pa] = chol[a]
+    non_pivots = [j for j in range(D.n) if j not in pivots]
+    if non_pivots:
+        rhs = np.empty((d, len(non_pivots)))
+        for col, j in enumerate(non_pivots):
+            for a, pa in enumerate(others):
+                rhs[a, col] = (zf[i0, j] + zf[i0, pa] - zf[pa, j]) / 2.0
+        sol = np.linalg.solve(chol, rhs)
+        for col, j in enumerate(non_pivots):
+            coords[j] = sol[:, col]
+    return coords
+
+
 def fraction_bareiss(rows):
     """Exact determinant by Bareiss elimination over ``Fraction``.
 

@@ -278,6 +278,15 @@ class TestVerifyCommand:
         code, out, err = runner(["verify", runner.write("k3.txt", K3_TEXT)])
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("tol", ["inf", "-1", "nan", "0"])
+    def test_tolerance_outside_the_open_range_is_an_input_error(self, runner, tol):
+        # The second framework misses its prescribed lengths, so any finite
+        # tolerance fails it; an infinite one would pass it.
+        doc = self.DOC.replace("point_prime 6 0", "point_prime 7 0")
+        code, out, err = runner(["verify", runner.write("v.txt", doc), "--tol-rel", tol])
+        assert code == EXIT_INPUT and out == ""
+        assert "positive and finite" in err
+
 
 class TestEmbedCommand:
     def test_complete_graph_embeds(self, runner):
@@ -372,6 +381,12 @@ class TestInputErrors:
         path = runner.write("k3.txt", K3_TEXT)
         code, out, err = runner(["check", path + "", "--tol-rel", "-1"])
         assert code == EXIT_INPUT
+
+    @pytest.mark.parametrize("command", ["solve", "embed"])
+    def test_infinite_tolerance(self, runner, command):
+        path = runner.write("k3.txt", K3_TEXT)
+        code, out, err = runner([command, path, "--tol-rel", "inf"])
+        assert code == EXIT_INPUT and "finite" in err
 
     def test_bad_restarts(self, runner):
         path = runner.write("k3.txt", K3_TEXT)

@@ -1,12 +1,19 @@
 import importlib
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from affeq.cmdet import SquaredDistanceMatrix
-from affeq.embedding import Configuration, distances_of, embed
+from affeq.embedding import (
+    ConditioningWarning,
+    Configuration,
+    _coordinates,
+    distances_of,
+    embed,
+)
 from affeq.errors import InputError, PreconditionError, ReconstructionError
 from affeq.reconstruct import (
     AffineMap,
@@ -18,7 +25,7 @@ from affeq.reconstruct import (
 from affeq.solver import random_instance
 from affeq.system import Assignment, Instance, check_assignment
 
-from helpers import squared_distance_rows
+from helpers import loop_coordinates, squared_distance_rows
 
 from test_system import K3, Z_345, Z_6810, complete_instance_from_points
 
@@ -154,6 +161,12 @@ class TestVerifyProblem1:
         assert not report.passed
         assert not report.full_hull
 
+    @pytest.mark.parametrize("tol", [0, -1.0, math.inf, math.nan])
+    def test_rejects_tolerance_outside_the_open_range(self, tol):
+        inst, p, q, amap = self.shear_pair()
+        with pytest.raises(InputError, match="positive and finite"):
+            verify_problem1(inst, p, q, amap, tol)
+
     def test_report_serializes(self):
         inst, p, q, amap = self.shear_pair()
         doc = verify_problem1(inst, p, q, amap).to_dict()
@@ -226,8 +239,9 @@ class TestReconstruct:
 class TestReconstructFailures:
     """Embeddings that disagree with the distance data are rejected.
 
-    ``embed`` is replaced by one returning tampered frameworks; vertex j
-    lies outside the base simplex, so the map is still fitted exactly.
+    The coordinate step is replaced by one returning tampered frameworks;
+    vertex j lies outside the base simplex, so the map is still fitted
+    exactly.
     """
 
     def tampered(self, monkeypatch, tamper):
@@ -242,7 +256,7 @@ class TestReconstructFailures:
         p_arr, q_arr = tamper(p.as_array(), q.as_array(), j, e, B)
         frameworks = {id(a.z): Configuration.from_array(p_arr),
                       id(a.z_prime): Configuration.from_array(q_arr)}
-        monkeypatch.setattr(importlib.import_module("affeq.reconstruct"), "embed",
+        monkeypatch.setattr(importlib.import_module("affeq.reconstruct"), "_coordinates",
                             lambda D, d, **kw: frameworks[id(D)])
         return inst, a
 
@@ -264,6 +278,22 @@ class TestReconstructFailures:
         inst, a = self.tampered(monkeypatch, tamper)
         with pytest.raises(ReconstructionError, match="distance data demands"):
             reconstruct(inst, a)
+
+
+def test_coordinate_step_matches_the_loop_reference():
+    # Nearly flat and flat point sets reach the Cholesky fallback, which
+    # reconstruct can meet once the checker has passed; h = 0 in d = 1 puts
+    # every point at the origin.
+    rng = np.random.default_rng(3)
+    for d in (1, 2, 3):
+        for n in range(d + 1, d + 7):
+            for h in (1.0, 1e-6, 1e-10, 0.0):
+                pts = rng.normal(size=(n, d)) * np.r_[np.ones(d - 1), h]
+                D = SquaredDistanceMatrix(squared_distance_rows(pts.tolist()))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", ConditioningWarning)
+                    got = _coordinates(D, d).as_array()
+                np.testing.assert_array_equal(got, loop_coordinates(D, d))
 
 
 def _max_gap(a: Configuration, b: Configuration) -> float:

@@ -17,7 +17,7 @@ import pytest
 
 from affeq import solver
 from affeq.cmdet import SquaredDistanceMatrix, menger_check
-from affeq.embedding import Configuration, embed
+from affeq.embedding import Configuration, ConditioningWarning, embed
 from affeq.errors import EmbeddabilityError, InputError
 from affeq.reconstruct import verify_problem1
 from affeq.solver import (
@@ -53,6 +53,20 @@ CYCLE_CLOSED = Instance.from_lengths(
 # Infeasible in any dimension, yet it has no fully pinned subset of size >= 3.
 LONG_CYCLE = Instance.from_lengths(
     4, 2, {(0, 1): (1, 1), (1, 2): (1, 1), (2, 3): (1, 1), (0, 3): (10, 10)})
+
+
+COMPLETE_YES = [
+    K3,
+    # the unit square and its image under (x, y) -> (2x + y, y + 1)
+    complete_instance_from_points(SQUARE_PTS, [(0, 1), (2, 1), (1, 2), (3, 2)], 2),
+    *(random_instance(seed, 6, 2, 1.0)[0] for seed in range(3)),
+]
+
+
+def flattened_square(h):
+    """A quadrilateral and its image under diag(1, h), as a complete instance."""
+    pts = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.3)]
+    return complete_instance_from_points(pts, [(x, h * y) for x, y in pts], 2)
 
 
 def certificate_is_valid(inst, cert):
@@ -158,6 +172,18 @@ class TestSolveComplete:
         assert v.kind == YES
         assert v.diagnostics["stage"] == "complete"
         assert certificate_is_valid(small, v.certificate)
+
+    def test_flattened_square_yes(self):
+        # The checker passes both sides, while menger_check on z_prime alone
+        # finds no spanning triangle: its margins are about h**2 = 1e-10 of
+        # their scale, below rel_eps.  The checker's verdict is the one
+        # reconstructed, and the certificate verifies.
+        inst = flattened_square(1e-5)
+        with pytest.warns(ConditioningWarning):
+            v = solve(inst)
+        assert v.kind == YES and v.diagnostics["stage"] == "complete"
+        assert certificate_is_valid(inst, v.certificate)
+        assert not menger_check(v.certificate.assignment.z_prime, 2).passes
 
     def test_complete_float_planted_yes(self):
         inst, planted = random_instance(9, 5, 2, 1.0)
@@ -548,12 +574,7 @@ class TestStagePipeline:
             assert line_oracle(inst, budget=budget).to_dict() == solve(inst, budget).to_dict(), k
         assert compared >= 150
 
-    @pytest.mark.parametrize("inst", [
-        K3,
-        # the unit square and its image under (x, y) -> (2x + y, y + 1)
-        complete_instance_from_points(SQUARE_PTS, [(0, 1), (2, 1), (1, 2), (3, 2)], 2),
-        *(random_instance(seed, 6, 2, 1.0)[0] for seed in range(3)),
-    ])
+    @pytest.mark.parametrize("inst", COMPLETE_YES)
     def test_complete_yes_runs_the_checker_once(self, monkeypatch, inst):
         calls = []
 
@@ -567,6 +588,22 @@ class TestStagePipeline:
         v = solve(inst)
         assert v.kind == YES and v.diagnostics["stage"] == "complete"
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("inst", COMPLETE_YES)
+    def test_complete_yes_runs_no_embeddability_check(self, monkeypatch, inst):
+        # The checker has decided both sides; reconstruct only computes
+        # coordinates.
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return menger_check(*args, **kwargs)
+
+        monkeypatch.setattr(importlib.import_module("affeq.embedding"),
+                            "menger_check", counted)
+        v = solve(inst)
+        assert v.kind == YES and v.diagnostics["stage"] == "complete"
+        assert calls == []
 
     def test_structure_note_counts_vertices(self):
         single = Instance(1, 1, (), (), ())

@@ -85,6 +85,18 @@ class TestInstance:
         with pytest.raises(InputError):
             Instance(3, 2, ((0, 1),), (0,), (3,))
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_rejects_non_finite_length(self, value, side):
+        lengths = [(2.0,), (3.0,)]
+        lengths[side] = (value,)
+        with pytest.raises(InputError, match="finite"):
+            Instance(3, 2, ((0, 1),), *lengths)
+
+    def test_accepts_huge_exact_length(self):
+        # math.isfinite(10**400) would overflow; an int is finite.
+        assert Instance(3, 2, ((0, 1),), (10**400,), (3,)).exact
+
     def test_rejects_misaligned_lengths(self):
         with pytest.raises(InputError):
             Instance(3, 2, ((0, 1),), (2, 2), (3,))
@@ -191,6 +203,11 @@ class TestTolerances:
     def test_rejects_nonpositive(self):
         with pytest.raises(InputError):
             Tolerances(rel_eps=0)
+
+    @pytest.mark.parametrize("rel_eps", [math.inf, math.nan])
+    def test_rejects_non_finite(self, rel_eps):
+        with pytest.raises(InputError, match="finite"):
+            Tolerances(rel_eps=rel_eps)
 
 
 class TestCheckAssignmentPass:

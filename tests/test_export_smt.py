@@ -236,6 +236,60 @@ def test_export_smt_corpus_pinned():
         "32ec1df08998f27b1425519d373b581ec121087deace7ba0d8964d63defd1299")
 
 
+# Integer columns with integer norms, so axis-aligned edges keep integer
+# lengths under the map.
+NORM_COLUMNS = ((1, 0), (0, 1), (3, 4), (4, -3), (0, 2), (5, 12), (6, 8))
+
+
+def int_dist(u, v):
+    return math.isqrt(sum((a - b) ** 2 for a, b in zip(u, v)))
+
+
+def lattice_instance(seed, n):
+    """Integer points in {0..3}^2 with axis-aligned edges, and their image
+    under an integer map whose columns have integer norms: integer lengths
+    on both sides, at the sizes the command line's export documents use."""
+    rng = np.random.default_rng([seed, n])
+    grid = list(itertools.product(range(4), repeat=2))
+    while True:
+        p = [grid[t] for t in rng.choice(len(grid), size=n, replace=False)]
+        if all((b[0] - p[0][0]) * (c[1] - p[0][1]) == (b[1] - p[0][1]) * (c[0] - p[0][0])
+               for b, c in itertools.combinations(p, 2)):
+            continue
+        axis = [(i, j) for i, j in itertools.combinations(range(n), 2)
+                if (p[i][0] == p[j][0]) != (p[i][1] == p[j][1])]
+        edges = [e for e in axis if rng.random() < 0.6]
+        if not edges:
+            continue
+        a, b = (NORM_COLUMNS[t] for t in rng.choice(len(NORM_COLUMNS), size=2,
+                                                     replace=False))
+        if a[0] * b[1] == a[1] * b[0]:
+            continue
+        q = [(a[0] * x + b[0] * y, a[1] * x + b[1] * y) for x, y in p]
+        return Instance.from_lengths(n, 2, {(i, j): (int_dist(p[i], p[j]),
+                                                     int_dist(q[i], q[j]))
+                                            for i, j in edges})
+
+
+def wide_export_corpus():
+    """Lattice instances at n = 5 and 6, and float instances at n = 6 up to
+    d = 4, where the sign rule, flatness and side tests use larger subsets
+    than the first corpus reaches."""
+    for seed, n in itertools.product(range(4), (5, 6)):
+        yield lattice_instance(seed, n)
+    for d, density in itertools.product((2, 3, 4), (0.0, 0.5)):
+        yield random_instance(1, 6, d, density)[0]
+
+
+# One SHA-256 over the 14 exports of the wider corpus.
+def test_export_smt_wide_corpus_pinned():
+    digest = hashlib.sha256()
+    for inst in wide_export_corpus():
+        digest.update(export_smt(inst).encode())
+    assert digest.hexdigest() == (
+        "3dc14d77f4050d36a3b41c9a154d054265dc16552813d1f65d950436ab168348")
+
+
 class TestModelRoundTrip:
     def assignment_from_model(self, inst, model):
         """Assignment an external solver's model would pin down."""

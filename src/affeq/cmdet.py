@@ -273,9 +273,12 @@ def _subset_max(D: SquaredDistanceMatrix, idx) -> np.ndarray:
 
 def _scales(D: SquaredDistanceMatrix, idx) -> np.ndarray:
     """:func:`subset_scale` for each row of a 2-D index array."""
-    # Python's pow, so each scale is the float M**(|I|-1) of one subset.
-    return np.array([m ** (idx.shape[1] - 1) if m != 0.0 else 1.0
-                     for m in _subset_max(D, idx).tolist()])
+    # Python's pow, so each scale is the float M**(|I|-1) of one subset;
+    # taken once per distinct maximum, since many subsets share one.
+    maxima, inverse = np.unique(_subset_max(D, idx), return_inverse=True)
+    powers = np.array([m ** (idx.shape[1] - 1) if m != 0.0 else 1.0
+                       for m in maxima.tolist()])
+    return powers[inverse]
 
 
 def _evaluate(D: SquaredDistanceMatrix, subsets):

@@ -18,13 +18,22 @@ member becomes one assertion:
 The subsets are the checker's own, from :func:`affeq.cmdet._subsets`, and
 the side tests those of :func:`affeq.system._side_checks`.  Each side is an
 n x n table whose entries are rational constants (pinned squared lengths)
-or variable names (free pairs); :func:`affeq.linalg.bordered_matrix` lays a
-subset's rows out from it, as it does for the numeric kernels.  A side
+or variable names (free pairs).  The bordered determinant of k generic
+points, laid out by :func:`affeq.linalg.bordered_matrix` as for the numeric
+kernels, is expanded once per size k, and every k-subset's polynomial is
+that expansion with the side's table entries substituted in.  A side
 test's linear form is twice the cofactor of the tested entry in the
-bordered matrix, the same identity the checker evaluates numerically.
+bordered matrix, the same identity the checker evaluates numerically; it
+too is expanded once per size and entry position and substituted per
+subset.
 """
 
 from __future__ import annotations
+
+import functools
+import itertools
+import math
+from fractions import Fraction
 
 from .cmdet import _subsets
 from .errors import InputError
@@ -91,19 +100,70 @@ def _det(rows) -> dict:
     return minor(0, tuple(range(size)))
 
 
+@functools.lru_cache(maxsize=None)
+def _template(k: int, pair=None) -> tuple:
+    """The bordered determinant of k generic points, expanded once.
+
+    Each of the k(k-1)/2 symmetric entries of the point block is a symbol,
+    numbered in ``itertools.combinations(range(k), 2)`` order, and the
+    expansion is stored as ``(coeff, positions)`` terms, where ``positions``
+    lists the number of each factor's entry.  With ``pair = (a, b)``,
+    ``a < b``, the terms are those of the derivative in that entry: twice
+    its cofactor, since the entry sits at two symmetric places.
+    """
+    pairs = itertools.combinations(range(k), 2)
+    symbols = {f"{a} {b}": p for p, (a, b) in enumerate(pairs)}
+    generic = [[f"{min(a, b)} {max(a, b)}" if a != b else 0 for b in range(k)]
+               for a in range(k)]
+    rows = bordered_matrix(generic, range(k))
+    sign = 1
+    if pair is not None:
+        a, b = pair[0] + 1, pair[1] + 1
+        rows = [row[:b] + row[b + 1:] for r, row in enumerate(rows) if r != a]
+        sign = 2 * (-1) ** (a + b)
+    return tuple((sign * coeff, tuple(symbols[s] for s in mono))
+                 for mono, coeff in _det(rows).items())
+
+
+def _substitute(template, subset, table) -> dict:
+    """A template's polynomial on ``subset``: constant entries of the table
+    are multiplied into each coefficient and variable names collected into
+    its monomial."""
+    entries = [table[i][j] for i, j in itertools.combinations(subset, 2)]
+    # Constants are scaled to ints over one common denominator, so a term
+    # costs int products only; every term has the template's degree, so a
+    # monomial with m constant factors is divided by den**m once, at the end.
+    den = math.lcm(*(e.denominator for e in entries if not isinstance(e, str)))
+    if den != 1:
+        entries = [e if isinstance(e, str) else int(e * den) for e in entries]
+    out = {}
+    for coeff, positions in template:
+        names = []
+        for p in positions:
+            entry = entries[p]
+            if isinstance(entry, str):
+                names.append(entry)
+            else:
+                coeff *= entry
+        mono = tuple(sorted(names))
+        out[mono] = out.get(mono, 0) + coeff
+    if den == 1:
+        return {mono: coeff for mono, coeff in out.items() if coeff}
+    degree = len(template[0][1])
+    return {mono: Fraction(coeff, den ** (degree - len(mono)))
+            for mono, coeff in out.items() if coeff}
+
+
 def _cmd_poly(subset, table) -> dict:
     """Bordered determinant of the subset as a polynomial."""
-    return _det(bordered_matrix(table, subset))
+    return _substitute(_template(len(subset)), subset, table)
 
 
 def _linear_form(subset, pair, table) -> dict:
     """Derivative of the subset's bordered determinant in the entry of
     ``pair``: twice that entry's cofactor, as in ``cmdet._linear_forms``."""
-    a, b = subset.index(pair[0]) + 1, subset.index(pair[1]) + 1
-    minor = [row[:b] + row[b + 1:]
-             for k, row in enumerate(bordered_matrix(table, subset)) if k != a]
-    sign = 2 * (-1) ** (a + b)
-    return {mono: sign * coeff for mono, coeff in _det(minor).items()}
+    a, b = sorted((subset.index(pair[0]), subset.index(pair[1])))
+    return _substitute(_template(len(subset), (a, b)), subset, table)
 
 
 def _coeff_text(c) -> str:
@@ -160,9 +220,14 @@ def export_smt(inst: Instance) -> str:
     sides = (("z", table("z", inst.lam)),
              ("z_prime", table("z_prime", inst.lam_prime)))
     # Each (d+1)-subset determinant serves the sign rule, the ratio
-    # equation and the base disjuncts.
-    simplex = {name: {s: _cmd_poly(s, tab) for s in simplices}
-               for name, tab in sides}
+    # equation and the base disjuncts; its text and that of its signed form
+    # (negated for an odd size, as the sign rule wants) are printed once.
+    simplex = {}
+    for name, tab in sides:
+        for s in simplices:
+            poly = _cmd_poly(s, tab)
+            text = _poly_text(poly)
+            simplex[name, s] = text, _poly_text(_pneg(poly)) if (d + 1) % 2 else text
     out = [
         "(set-logic QF_NRA)",
         f"; squared-distance feasibility system: n={n}, d={d}, "
@@ -185,11 +250,13 @@ def export_smt(inst: Instance) -> str:
         out.append(f"; sign rule on subsets of {size} vertices")
         for subset in subsets(size):
             for name, tab in sides:
-                poly = simplex[name][subset] if size == d + 1 else _cmd_poly(subset, tab)
-                if size % 2:
-                    poly = _pneg(poly)
+                if size == d + 1:
+                    text = simplex[name, subset][1]
+                else:
+                    poly = _cmd_poly(subset, tab)
+                    text = _poly_text(_pneg(poly) if size % 2 else poly)
                 out.append(f"; subset {subset}, side {name}")
-                out.append(f"(assert (>= {_poly_text(poly)} 0))")
+                out.append(f"(assert (>= {text} 0))")
 
     if n >= d + 2:
         out.append(f"; flatness of subsets of {d + 2} vertices")
@@ -200,8 +267,7 @@ def export_smt(inst: Instance) -> str:
 
     out.append("; common determinant ratio on subsets of d+1 vertices")
     for subset in simplices:
-        lhs = _poly_text(simplex["z_prime"][subset])
-        rhs = _poly_text(simplex["z"][subset])
+        lhs, rhs = simplex["z_prime", subset][0], simplex["z", subset][0]
         out.append(f"; subset {subset}")
         out.append(f"(assert (= {lhs} (* alpha {rhs})))")
 
@@ -219,8 +285,7 @@ def export_smt(inst: Instance) -> str:
     out.append("; some base simplex is nondegenerate and matches all side tests")
     disjuncts = []
     for base in simplices:
-        poly = simplex["z"][base]
-        clauses = [f"(> {_poly_text(_pneg(poly) if (d + 1) % 2 else poly)} 0)"]
+        clauses = [f"(> {simplex['z', base][1]} 0)"]
         for _, _, subset, pair in _side_checks(n, base):
             lz, lp = (form_text(name, tab, subset, pair) for name, tab in sides)
             clauses.append(f"(and (= (> {lz} 0) (> {lp} 0)) "

@@ -41,6 +41,51 @@ def cmd_oracle(z, index_set):
     return cofactor_det(bordered_rows(z, list(index_set)))
 
 
+def laplace_poly(mat):
+    """Determinant of a matrix of constants and variable names as a
+    polynomial ``{sorted tuple of names: coefficient}``, by plain recursive
+    first-row expansion with no memo; zero terms are dropped."""
+    if not mat:
+        return {(): 1}
+    total = {}
+    for j, a in enumerate(mat[0]):
+        if not isinstance(a, str) and a == 0:
+            continue
+        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
+        for mono, c in laplace_poly(minor).items():
+            if isinstance(a, str):
+                mono = tuple(sorted(mono + (a,)))
+            else:
+                c = c * a
+            total[mono] = total.get(mono, 0) + (-1) ** j * c
+    return {mono: c for mono, c in total.items() if c}
+
+
+def laplace_entry_derivative(z, index_set, pair):
+    """Derivative of the bordered determinant in the symmetric entry
+    ``z[pair]``: both places get a fresh symbol ``t``, each term
+    ``c * t**p * rest`` becomes ``c * p * t**(p-1) * rest``, and the entry
+    is put back for ``t``."""
+    i, j = pair
+    entry = z[i][j]
+    marked = [list(row) for row in z]
+    marked[i][j] = marked[j][i] = t = "\x00"
+    out = {}
+    for mono, c in laplace_poly(bordered_rows(marked, list(index_set))).items():
+        power = mono.count(t)
+        if not power:
+            continue
+        rest = [v for v in mono if v != t]
+        c *= power
+        if isinstance(entry, str):
+            rest += [entry] * (power - 1)
+        else:
+            c *= entry ** (power - 1)
+        key = tuple(sorted(rest))
+        out[key] = out.get(key, 0) + c
+    return {mono: c for mono, c in out.items() if c}
+
+
 def gram_volume_sq(points):
     """Squared k-volume of a simplex from coordinates via the Gram matrix."""
     pts = np.asarray(points, dtype=float)

@@ -378,9 +378,9 @@ class TestInputErrors:
         assert runner(["frobnicate", "x.txt"])[0] == EXIT_INPUT
 
     def test_nonpositive_tolerance(self, runner):
-        path = runner.write("k3.txt", K3_TEXT)
-        code, out, err = runner(["check", path + "", "--tol-rel", "-1"])
-        assert code == EXIT_INPUT
+        path = runner.write("k3.txt", TestCheckCommand.ASSIGNED)
+        code, out, err = runner(["check", path, "--tol-rel", "-1"])
+        assert code == EXIT_INPUT and "positive and finite" in err
 
     @pytest.mark.parametrize("command", ["solve", "embed"])
     def test_infinite_tolerance(self, runner, command):

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations, permutations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from affeq.cmdet import (
     _evaluate,
     _Rule,
     _linear_forms,
+    _scales,
+    _subset_max,
     _subsets,
     cmd,
     menger_check,
@@ -499,6 +502,32 @@ class TestSubsets:
         with pytest.raises(ValueError):
             idx[0, 0] = 4
         assert _subsets(5, 3) is idx
+
+
+class TestScales:
+    def test_bitwise_equal_to_per_subset_pow(self):
+        # The matrix is read only through as_array, so a stand-in carries the
+        # NaN entries a SquaredDistanceMatrix would reject as asymmetric.
+        rng = np.random.default_rng(5)
+        n = 9
+        pool = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-300, 1e60, 3.0, -3.0]
+        for trial in range(6):
+            m = rng.choice([*pool, *rng.lognormal(0.0, 4.0, size=12)], size=(n, n))
+            if trial == 0:
+                m = rng.lognormal(0.0, 4.0, size=(n, n))
+            m = np.triu(m, 1) + np.triu(m, 1).T
+            stand_in = SimpleNamespace(as_array=lambda m=m: m)
+            for size in range(1, 7):
+                idx = _subsets(n, size)
+                want = np.array([v ** (size - 1) if v != 0.0 else 1.0
+                                 for v in _subset_max(stand_in, idx).tolist()])
+                got = _scales(stand_in, idx)
+                assert got.dtype == np.float64
+                assert got.tobytes() == want.tobytes()
+
+    def test_empty(self):
+        got = _scales(TRIANGLE_345_F, np.empty((0, 3), dtype=np.intp))
+        assert got.dtype == np.float64 and got.shape == (0,)
 
 
 class TestDefects:

@@ -20,7 +20,13 @@ from affeq.smtexport import (
 from affeq.solver import random_instance
 from affeq.system import Assignment, Instance, _side_checks, check_assignment
 
-from helpers import random_rational_sdm_rows
+from helpers import (
+    bordered_rows,
+    laplace_entry_derivative,
+    laplace_poly,
+    random_rational,
+    random_rational_sdm_rows,
+)
 
 K3 = Instance.from_lengths(3, 2, {(0, 1): (3, 6), (1, 2): (4, 8), (0, 2): (5, 10)})
 PATH = Instance.from_lengths(3, 2, {(0, 1): (3, 6), (1, 2): (4, 8)})
@@ -83,6 +89,29 @@ class TestPolynomialEngine:
                    for a in range(n) for b in range(a + 1, n)}
             slice_ = quadratic_slice(D, subset, (i, j))
             assert eval_poly(linear, env) == slice_.linear_form(rows[i][j])
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_template_expansion_matches_plain_laplace(self, k):
+        # Entries are a random mix of variable names (labelled in shuffled
+        # order, so monomials sort differently from positions), ints,
+        # Fractions and zero constants.
+        rng = np.random.default_rng(k)
+        n = 8
+        pairs = list(itertools.combinations(range(n), 2))
+        labels = rng.permutation(len(pairs))
+        for _ in range(3):
+            table = [[0] * n for _ in range(n)]
+            for (i, j), label in zip(pairs, labels):
+                kind = rng.integers(4)
+                entry = (f"w{label}" if kind == 0 else int(rng.integers(-9, 10)) if kind == 1
+                         else random_rational(rng, -20, 20) if kind == 2 else 0)
+                table[i][j] = table[j][i] = entry
+            subset = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
+            assert _cmd_poly(subset, table) == laplace_poly(bordered_rows(table, subset))
+            for i, j in itertools.combinations(subset, 2):
+                want = laplace_entry_derivative(table, subset, (i, j))
+                assert _linear_form(subset, (i, j), table) == want
+                assert _linear_form(subset, (j, i), table) == want
 
     def test_poly_text_forms(self):
         assert _poly_text({}) == "0"

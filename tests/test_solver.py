@@ -734,6 +734,61 @@ def test_embed_and_complete_solve_json_pinned():
         "d0b52158bdbb45411c4cf1f1354ccdc522584bd5a7840d35ff38a0faed85c92a")
 
 
+def _ratio_lines(seed):
+    """Planted rational line instances at n = 7-9 whose two sides differ by a
+    scale of 1/2, 3/2 or 5/3, either side carrying the fractions; each has a
+    twin with one second-side length off by one.  The same graph, and a ring
+    with no triangle for the pinned scan to refute, also get random
+    fractional lengths at the same scale."""
+    rng = np.random.default_rng([23, seed])
+    out = []
+    for n in (7, 8, 9):
+        xs = [int(v) for v in rng.choice(4 * n, size=n, replace=False)]
+        perm = rng.permutation(n)
+        edges = {tuple(sorted((int(perm[t]), int(perm[rng.integers(0, t)]))))
+                 for t in range(1, n)}
+        edges |= {pair for pair in itertools.combinations(range(n), 2)
+                  if rng.random() < 0.35}
+        edges = sorted(edges)
+        s = (Fraction(1, 2), Fraction(3, 2), Fraction(5, 3))[rng.integers(3)]
+        lam = [Fraction(abs(xs[i] - xs[j])) for i, j in edges]
+        lam_prime = [s * v for v in lam]
+        if seed % 2:
+            lam, lam_prime = lam_prime, lam
+        bumped = list(lam_prime)
+        bumped[rng.integers(len(edges))] += 1
+        cycle = [Fraction(int(rng.integers(1, 3 * n)), int(rng.integers(1, 4)))
+                 for _ in edges]
+        ring = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
+        loose = [Fraction(int(rng.integers(1, 3 * n)), int(rng.integers(1, 4)))
+                 for _ in ring]
+        for graph, a, b in ((edges, lam, lam_prime), (edges, lam, bumped),
+                            (edges, cycle, [s * v for v in cycle]),
+                            (ring, loose, [s * v for v in loose])):
+            out.append(Instance.from_lengths(n, 1, dict(zip(graph, zip(a, b)))))
+    return out
+
+
+def line_oracle_json():
+    """``line_oracle`` verdict JSON, floats rounded as in
+    ``pinned_report_json``, over the float planted lines of the acceptance
+    line suite, planted float lines at n = 6-9 and ``_ratio_lines``."""
+    lines = [_random_line_instance(k) for k in range(2, 200, 3)]
+    lines += [random_instance(seed, n, 1, 0.5)[0] for seed in range(4) for n in range(6, 10)]
+    lines += [inst for seed in range(8) for inst in _ratio_lines(seed)]
+    budget = SearchBudget(restarts=1)
+    return "\n".join(json.dumps(_rounded(line_oracle(inst, budget=budget).to_dict()),
+                                sort_keys=True) for inst in lines)
+
+
+# SHA-256 of line_oracle_json; any change to the line oracle's verdicts,
+# witnesses or certificates on float and fractional data must show here.
+def test_line_oracle_json_pinned():
+    digest = hashlib.sha256(line_oracle_json().encode()).hexdigest()
+    assert digest == (
+        "32ee152660777c93222293e6fa885b9930db153d925658aa78ecee14a6938b5c")
+
+
 def test_import_loads_no_scipy():
     code = (
         "import affeq, sys\n"

@@ -11,12 +11,14 @@ Subcommands operate on instance documents (see :mod:`affeq.instance_io`):
 
 Every command except export-smt prints a JSON report on stdout.  Exit
 status: 0 for YES or pass, 1 for NO or fail, 2 for UNKNOWN, 64 for an
-unreadable or malformed input (diagnostic on stderr).
+unreadable or malformed input, 70 for an internal error (any other
+exception; one ``error: internal:`` line on stderr names it).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -40,6 +42,7 @@ EXIT_YES = 0
 EXIT_NO = 1
 EXIT_UNKNOWN = 2
 EXIT_INPUT = 64
+EXIT_INTERNAL = 70
 
 _VERDICT_EXIT = {YES: EXIT_YES, NO: EXIT_NO, UNKNOWN: EXIT_UNKNOWN}
 
@@ -317,14 +320,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` reuses, built on its first call."""
+    return build_parser()
+
+
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.handler(args)
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:
+        message = " ".join(str(exc).split())
+        print(f"error: internal: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

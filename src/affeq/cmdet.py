@@ -14,7 +14,11 @@ rational matrix scaled by a float factor is a float matrix, which is what
 an instance with float lengths.  Exact evaluation
 clears denominators once per :class:`SquaredDistanceMatrix`, that is once
 per side: with ``L`` the lcm of the entries' denominators, Bareiss
-elimination runs on the ints ``L * z``.  A bordered determinant over ``m``
+elimination runs on the ints ``L * z``.  Each batch of same-size subsets on
+one side is one stacked elimination,
+:func:`affeq.linalg.bareiss_stack`: determinants on the rooted Gram form
+(:func:`affeq.linalg.bordered_det_batch`), cofactor minors on the bordered
+form.  A bordered determinant over ``m``
 points is homogeneous of degree ``m - 1`` in the entries, and the cofactor
 minor of one entry of degree ``m - 2``, so the rational value is the int
 determinant over ``L**(m-1)`` or ``L**(m-2)``.  Decisions follow
@@ -45,9 +49,8 @@ import numpy as np
 
 from .errors import InputError, PreconditionError
 from .linalg import (
-    bareiss_det,
+    bareiss_stack,
     bordered_det_batch,
-    bordered_matrix,
     bordered_stack,
     clear_denominators,
     is_exact_value,
@@ -89,8 +92,12 @@ class SquaredDistanceMatrix:
         zf = np.asarray([[float(x) for x in row] for row in rows])
         zf.setflags(write=False)
         self._zf = zf
-        # Exact data: the entries times their common denominator, as ints.
-        self._zi, self._den = clear_denominators(rows) if self.exact else (None, None)
+        # Exact data: the entries times their common denominator, as an
+        # object array of Python ints.
+        self._zi, self._den = None, None
+        if self.exact:
+            zi, self._den = clear_denominators(rows)
+            self._zi = np.array(zi, dtype=object).reshape(n, n)
 
     @classmethod
     def from_pairs(cls, n, pairs, *, allow_negative=False):
@@ -286,9 +293,10 @@ def _evaluate(D: SquaredDistanceMatrix, subsets):
 
     ``subsets`` is a sequence of index tuples or a 2-D index array.  Returns
     ``(dets, scales)``, one entry per subset.  ``dets`` is a list of
-    ``Fraction`` values from one int Bareiss elimination per subset on exact
-    data, and a float array from a single batched LAPACK call otherwise;
-    ``np.asarray`` turns either into an array.  ``scales`` is a float array
+    ``Fraction`` values from one stacked int Bareiss elimination over the
+    batch's rooted Gram matrices on exact data, and a float array from a
+    single batched LAPACK call otherwise; ``np.asarray`` turns either into
+    an array.  ``scales`` is a float array
     of ``M**(|I|-1)`` as in :func:`subset_scale`, with ``M`` the largest
     entry magnitude over the subset.  Subsets are not validated.
     """
@@ -300,8 +308,7 @@ def _evaluate(D: SquaredDistanceMatrix, subsets):
     if D.exact:
         # Degree size-1 in the entries; the empty set's determinant is 0.
         power = D._den ** max(size - 1, 0)
-        return [Fraction(bareiss_det(bordered_matrix(D._zi, I)), power)
-                for I in idx.tolist()], scales
+        return [Fraction(v, power) for v in bordered_det_batch(D._zi, idx).tolist()], scales
     return bordered_det_batch(D.as_array(), idx), scales
 
 
@@ -309,8 +316,9 @@ def _linear_forms(D: SquaredDistanceMatrix, subsets, pairs):
     """Derivative of each subset's bordered determinant in the entry ``z[pair]``.
 
     The entry sits symmetrically at two places of the bordered matrix, so the
-    derivative is twice its cofactor: one minor per subset, exact on exact
-    data and batched in floating point otherwise.  Returns a list or an
+    derivative is twice its cofactor: one minor per subset, all taken from
+    the batch's bordered stack, with one stacked int Bareiss elimination on
+    exact data and one batched LAPACK call otherwise.  Returns a list or an
     array, as :func:`_evaluate` does its ``dets``.
     """
     if not len(subsets):
@@ -320,17 +328,15 @@ def _linear_forms(D: SquaredDistanceMatrix, subsets, pairs):
     # Bordered rows a and columns b of each pair's entry; the minor drops both.
     a, b = (np.argmax(idx == np.asarray(pairs)[:, k, None], axis=1) + 1 for k in (0, 1))
     signs = 2 * (-1) ** (a + b)
-    if D.exact:
-        # An m-point subset's minor is m x m and of degree m-2 in the entries.
-        dets = [Fraction(bareiss_det([row[:bk] + row[bk + 1:]
-                                      for k, row in enumerate(bordered_matrix(D._zi, I))
-                                      if k != ak]), D._den ** (m - 2))
-                for I, ak, bk in zip(idx.tolist(), a.tolist(), b.tolist())]
-        return [int(s) * det for s, det in zip(signs, dets)]
     keep = np.arange(m)
     rows, cols = (keep + (keep >= x[:, None]) for x in (a, b))
-    minors = bordered_stack(D.as_array(), idx)[
+    minors = bordered_stack(D._zi if D.exact else D.as_array(), idx)[
         np.arange(count)[:, None, None], rows[:, :, None], cols[:, None, :]]
+    if D.exact:
+        # An m-point subset's minor is m x m and of degree m-2 in the entries.
+        power = D._den ** (m - 2)
+        return [Fraction(s * v, power)
+                for s, v in zip(signs.tolist(), bareiss_stack(minors).tolist())]
     return signs * np.linalg.det(minors)
 
 

@@ -668,6 +668,11 @@ def _line_decision(inst, budget, tol, fixed_left) -> Optional[Verdict]:
     lam = {e: to_fraction(v) for e, v in zip(inst.edges, inst.lam)}
     lam_prime = {e: to_fraction(v) for e, v in zip(inst.edges, inst.lam_prime)}
     scale = max((float(v) for v in lam.values()), default=1.0)
+    # Placements run on ints: every length times the lcm of their
+    # denominators.  Int true division rounds correctly, so a defect's
+    # float equals float() of its Fraction.
+    den = math.lcm(*(v.denominator for v in lam.values()))
+    ilam = {e: v.numerator * (den // v.denominator) for e, v in lam.items()}
 
     adj = {i: [] for i in range(n)}
     for i, j in inst.edges:
@@ -693,19 +698,21 @@ def _line_decision(inst, budget, tol, fixed_left) -> Optional[Verdict]:
             return None
         compset = set(comp)
         treeset = {tuple(sorted(t)) for t in tree}
-        nontree = [e for e in inst.edges
+        nontree = [(e, ilam[e]) for e in inst.edges
                    if e[0] in compset and e[1] in compset and e not in treeset]
+        steps = [(child, parent, ilam[tuple(sorted((child, parent)))])
+                 for child, parent in tree]
         best = None
         for signs in itertools.product((1, -1), repeat=len(tree)):
-            x = {root: Fraction(0)}
-            for (child, parent), sign in zip(tree, signs):
-                x[child] = x[parent] + sign * lam[tuple(sorted((child, parent)))]
-            worst, worst_edge = Fraction(0), None
-            for e in nontree:
-                gap = abs(abs(x[e[0]] - x[e[1]]) - lam[e])
+            x = {root: 0}
+            for (child, parent, length), sign in zip(steps, signs):
+                x[child] = x[parent] + sign * length
+            worst, worst_edge = 0, None
+            for e, length in nontree:
+                gap = abs(abs(x[e[0]] - x[e[1]]) - length)
                 if gap > worst:
                     worst, worst_edge = gap, e
-            wf = float(worst)
+            wf = worst / den
             if best is None or wf < best[0]:
                 best = (wf, x, worst_edge)
             if rule.sign(wf, scale, _LINE_ACCEPT) == 0:
@@ -721,7 +728,7 @@ def _line_decision(inst, budget, tol, fixed_left) -> Optional[Verdict]:
                     note="no placement of the component on a line meets every pinned length"))
             return None  # gray band: leave to the numeric search
         for i, value in x.items():
-            positions[i] = value
+            positions[i] = Fraction(value, den)
 
     if inst.edges:
         ref = max(range(len(inst.edges)), key=lambda t: float(inst.lam[t]))

@@ -13,6 +13,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from affeq import cmdet, linalg
 from affeq.cmdet import SquaredDistanceMatrix, cmd, quadratic_slice
 
@@ -36,20 +38,23 @@ def test_targets_resolve_to_callables():
 
 
 def test_exact_determinants_call_the_traced_binding(monkeypatch):
-    # One kernel call per exact determinant, through cmdet's own binding of
-    # the traced name: cmd's 3-point matrix, then the slice's 3-point matrix,
-    # its 1-point face and one cofactor minor.
-    sizes = []
+    # One kernel call per exact _evaluate batch, through cmdet's own binding
+    # of the traced name: cmd's 3-point subset, then the slice's 3-point
+    # subset and its 1-point face (its cofactor minor is not a bordered
+    # determinant), then all three pairs in one call.
+    batches = []
 
-    def counting(rows):
-        sizes.append(len(rows))
-        return linalg.bareiss_det(rows)
+    def counting(z, subsets):
+        assert z.dtype == object
+        batches.append(np.shape(subsets))
+        return linalg.bordered_det_batch(z, subsets)
 
-    monkeypatch.setattr(cmdet, "bareiss_det", counting)
+    monkeypatch.setattr(cmdet, "bordered_det_batch", counting)
     D = SquaredDistanceMatrix([[0, 9, Fraction(25, 2)], [9, 0, 16], [Fraction(25, 2), 16, 0]])
     cmd(D, (0, 1, 2))
     quadratic_slice(D, (0, 1, 2), (0, 1))
-    assert sizes == [4, 4, 2, 3]
+    cmdet._evaluate(D, cmdet._subsets(3, 2))
+    assert batches == [(1, 3), (1, 3), (1, 1), (3, 2)]
 
 
 def test_traced_search_records_the_least_squares_seam():

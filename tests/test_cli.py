@@ -1,9 +1,11 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
-from affeq.cli import EXIT_INPUT, EXIT_NO, EXIT_UNKNOWN, EXIT_YES, main
+import affeq.cli as cli
+from affeq.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_NO, EXIT_UNKNOWN, EXIT_YES, main
 from affeq.instance_io import parse_document
 
 K3_TEXT = """\
@@ -392,3 +394,46 @@ class TestInputErrors:
         path = runner.write("k3.txt", K3_TEXT)
         code, out, err = runner(["solve", path, "--restarts", "0"])
         assert code == EXIT_INPUT
+
+
+class TestInternalErrors:
+    # A crash must not read as a NO (exit 1) to a calling script.
+    def test_overflowing_embed_exits_internal(self, runner):
+        # K5 in d = 3 with lengths near 1e40: the comparison scale
+        # M**(|I|-1) of a 5-point subset overflows a float.
+        pts = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
+        lines = ["dim 3", "vertices 5"]
+        for i in range(5):
+            for j in range(i + 1, 5):
+                length = math.dist(pts[i], pts[j]) * 1e40
+                lines.append(f"edge {i} {j} {length!r} {length!r}")
+        path = runner.write("k5.txt", "\n".join(lines) + "\n")
+        code, out, err = runner(["embed", path])
+        assert code == EXIT_INTERNAL and out == ""
+        assert err.startswith("error: internal: OverflowError: ")
+
+    def test_handler_exception_is_one_line(self, runner, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("first line\nsecond line")
+
+        monkeypatch.setattr(cli, "solve", broken)
+        code, out, err = runner(["solve", runner.write("k3.txt", K3_TEXT)])
+        assert code == EXIT_INTERNAL == 70 and out == ""
+        assert err == "error: internal: RuntimeError: first line second line\n"
+
+
+def test_main_builds_its_parser_once(runner, monkeypatch):
+    builds, build_parser = [], cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    path = runner.write("k3.txt", K3_TEXT)
+    assert runner(["solve", path])[0] == runner(["solve", path])[0] == EXIT_YES
+    assert builds == [1]
+    cli._parser.cache_clear()
+    # build_parser itself still returns a fresh parser on each call
+    assert cli.build_parser() is not cli.build_parser()

@@ -14,7 +14,7 @@ from affeq.errors import (
     RatioSignError,
 )
 from affeq.solver import random_instance
-from affeq import cmdet
+from affeq import cmdet, linalg
 from affeq.system import (
     CONDITION_KEYS,
     Assignment,
@@ -463,13 +463,16 @@ def test_float_length_instance_decides_a_rational_assignment_in_floats(monkeypat
     # The integer unit square, with and without its diagonal (0, 3) as an
     # edge of float length sqrt(2): the float length makes the rescaling
     # factor a float, so the integer assignment is evaluated in floats.
-    calls, bareiss_det = [], cmdet.bareiss_det
+    # Every exact elimination runs through bareiss_stack, bound in linalg
+    # for determinants and in cmdet for cofactor minors.
+    calls, bareiss_stack = [], linalg.bareiss_stack
 
-    def counted(rows):
-        calls.append(rows)
-        return bareiss_det(rows)
+    def counted(stack):
+        calls.append(stack)
+        return bareiss_stack(stack)
 
-    monkeypatch.setattr(cmdet, "bareiss_det", counted)
+    for module in (linalg, cmdet):
+        monkeypatch.setattr(module, "bareiss_stack", counted)
     sides = {(0, 1): (1, 1), (0, 2): (1, 1), (1, 3): (1, 1), (2, 3): (1, 1)}
     square = Assignment(Z_SQUARE, Z_SQUARE, 1)
     diagonal = Instance.from_lengths(4, 2, {**sides, (0, 3): (math.sqrt(2), math.sqrt(2))})

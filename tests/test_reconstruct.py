@@ -15,6 +15,7 @@ from affeq.embedding import (
     embed,
 )
 from affeq.errors import InputError, PreconditionError, ReconstructionError
+from affeq.linalg import bareiss_det
 from affeq.reconstruct import (
     AffineMap,
     affine_from_simplex,
@@ -109,11 +110,41 @@ class TestAffineFromSimplex:
             assert np.asarray(m.matrix) == pytest.approx(B, rel=1e-9, abs=1e-9)
             assert np.asarray(m.shift) == pytest.approx(b, rel=1e-9, abs=1e-9)
 
+    def test_exact_matches_planted(self):
+        rng = np.random.default_rng(61)
+
+        def rational():
+            return Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 6)))
+
+        for d in (1, 2, 3, 4):
+            B = [[rational() for _ in range(d)] for _ in range(d)]
+            while bareiss_det(B) == 0:
+                B = [[rational() for _ in range(d)] for _ in range(d)]
+            b = [rational() for _ in range(d)]
+            src = [[rational() for _ in range(d)] for _ in range(d + 1)]
+            while bareiss_det([[x - y for x, y in zip(p, src[0])]
+                               for p in src[1:]]) == 0:
+                src = [[rational() for _ in range(d)] for _ in range(d + 1)]
+            dst = [[sum(B[i][k] * p[k] for k in range(d)) + b[i] for i in range(d)]
+                   for p in src]
+            m = affine_from_simplex(src, dst)
+            assert all(isinstance(x, Fraction) for row in m.matrix for x in row)
+            assert all(isinstance(x, Fraction) for x in m.shift)
+            assert m.matrix == tuple(map(tuple, B))
+            assert m.shift == tuple(b)
+
     def test_degenerate_source(self):
         with pytest.raises(InputError):
             affine_from_simplex(
                 [(0, 0), (1, 0), (2, 0)], [(0, 0), (1, 0), (0, 1)]
             )
+
+    def test_degenerate_exact_source_in_three_dimensions(self):
+        # the fourth point lies in the plane of the first three
+        src = [(0, 0, 0), (1, 0, Fraction(1, 2)), (0, 2, 1), (1, 2, Fraction(3, 2))]
+        dst = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        with pytest.raises(InputError, match="source simplex is degenerate"):
+            affine_from_simplex(src, dst)
 
     def test_wrong_count(self):
         with pytest.raises(InputError):

@@ -1,6 +1,6 @@
 """
-Exact decisions on the line
-===========================
+Exact verdicts on the line
+==========================
 
 Dimension one admits a complete decision procedure: each connected
 component is placed by choosing a sign for every spanning-tree edge, the

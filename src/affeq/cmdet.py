@@ -23,11 +23,11 @@ points is homogeneous of degree ``m - 1`` in the entries, and the cofactor
 minor of one entry of degree ``m - 2``, so the rational value is the int
 determinant over ``L**(m-1)`` or ``L**(m-2)``.  Decisions follow
 the data too.  Exact data is judged by a value's true sign; for the
-two-sided tests of :mod:`affeq.system` this also needs rational lengths and
-the ``"auto"`` policy.  Any other data is judged relative to the scale
-``M**(|I|-1)``, where ``M`` is the largest entry magnitude over the subset
-(the determinant's homogeneity degree): a value within ``rel_eps`` times
-that scale counts as zero.
+two-sided tests of :mod:`affeq.system` this also needs rational lengths.
+Any other data is judged relative to the scale ``M**(|I|-1)``, where
+``M`` is the largest entry magnitude over the subset (the determinant's
+homogeneity degree): a value within ``rel_eps`` times that scale counts as
+zero.
 
 ``menger_check``, the checker of :mod:`affeq.system` and the solver's
 pinned-subsystem scan share one subset enumeration, ``_subsets``, and one
@@ -221,9 +221,9 @@ def simplex_volume_sq(D: SquaredDistanceMatrix, index_set):
 class _Rule:
     """How the determinant tests on one side's data are decided.
 
-    ``exact`` means true signs: it holds only for all-rational data under the
-    ``"auto"`` policy.  Otherwise a value within ``eps * scale`` of zero
-    counts as zero, ``eps`` defaulting to the rule's own relative tolerance.
+    ``exact`` means true signs: it holds only for all-rational data.
+    Otherwise a value within ``eps * scale`` of zero counts as zero, ``eps``
+    defaulting to the rule's own relative tolerance.
     """
 
     exact: bool

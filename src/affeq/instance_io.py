@@ -28,7 +28,6 @@ from typing import Optional
 from .cmdet import SquaredDistanceMatrix
 from .embedding import Configuration
 from .errors import InputError, InstanceFormatError
-from .linalg import is_exact_value, to_fraction
 from .system import Assignment, Instance
 
 

@@ -1,4 +1,4 @@
-"""Determinant and linear-solve kernels in two arithmetic modes.
+"""Determinant kernels in two arithmetic modes.
 
 Exact mode takes ``fractions.Fraction`` / ``int`` entries, clears their
 denominators and runs fraction-free Bareiss elimination on Python ints, so
@@ -69,51 +69,12 @@ def bareiss_det(rows):
     return det if den is None else Fraction(det, den**n)
 
 
-def solve_exact(rows, rhs) -> list[Fraction]:
-    """Exact solve of a square nonsingular system by Gaussian elimination."""
-    n = len(rows)
-    a = [[to_fraction(x) for x in row] + [to_fraction(b)]
-         for row, b in zip(rows, rhs)]
-    for k in range(n):
-        piv = max(range(k, n), key=lambda i: abs(a[i][k]))
-        if a[piv][k] == 0:
-            raise InputError("singular system in exact solve")
-        a[k], a[piv] = a[piv], a[k]
-        for i in range(k + 1, n):
-            f = a[i][k] / a[k][k]
-            if f == 0:
-                continue
-            for j in range(k, n + 1):
-                a[i][j] -= f * a[k][j]
-    x = [Fraction(0)] * n
-    for k in range(n - 1, -1, -1):
-        s = a[k][n] - sum(a[k][j] * x[j] for j in range(k + 1, n))
-        x[k] = s / a[k][k]
-    return x
-
-
 def det_any(rows):
     """Determinant dispatching on entry type: exact when all rational."""
     flat = [x for row in rows for x in row]
     if all(is_exact_value(x) for x in flat):
         return Fraction(bareiss_det(rows))
     return float(np.linalg.det(np.asarray(rows, dtype=float)))
-
-
-def bordered_matrix(z, index_set):
-    """Bordered squared-distance determinant matrix for a point subset.
-
-    Layout: a leading 0 with a border of ones, then the squared-distance
-    block with a zero diagonal.  For ``k+1`` indices the matrix is
-    ``(k+2) x (k+2)``.
-    """
-    m = len(index_set)
-    rows = [[0] + [1] * m]
-    for a in index_set:
-        rows.append([1] + [z[a][b] for b in index_set])
-    for a in range(m):
-        rows[a + 1][a + 1] = 0
-    return rows
 
 
 def _index_array(subsets) -> np.ndarray:

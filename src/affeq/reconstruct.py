@@ -22,7 +22,7 @@ import numpy as np
 from .cmdet import cmd
 from .embedding import Configuration, _coordinates, distances_of
 from .errors import InputError, PreconditionError, ReconstructionError
-from .linalg import det_any, is_exact_value, solve_exact
+from .linalg import bareiss_det, det_any, is_exact_value
 from .system import Assignment, Instance, Tolerances, check_assignment
 
 
@@ -145,12 +145,13 @@ def affine_from_simplex(src, dst) -> AffineMap:
             [Fraction(dst[k + 1][i]) - Fraction(dst[0][i]) for k in range(d)]
             for i in range(d)
         ]
-        try:
-            # solve E^T B^T = F^T row by row
-            rows_t = [solve_exact(_transpose(E), col) for col in F]
-        except ValueError as exc:
-            raise InputError(f"source simplex is degenerate: {exc}") from exc
-        B = tuple(tuple(row) for row in rows_t)
+        det_e = bareiss_det(E)
+        if det_e == 0:
+            raise InputError("source simplex is degenerate")
+        # Cramer's rule on each row of B E = F: B[i][k] is det(E) with row k
+        # replaced by F[i], over det(E).
+        B = tuple(tuple(bareiss_det(E[:k] + [F[i]] + E[k + 1:]) / det_e
+                        for k in range(d)) for i in range(d))
         shift = tuple(
             Fraction(dst[0][i]) - sum(B[i][k] * Fraction(src[0][k]) for k in range(d))
             for i in range(d)
@@ -164,10 +165,6 @@ def affine_from_simplex(src, dst) -> AffineMap:
     B = F @ np.linalg.inv(E)
     shift = np.array(dst[0], dtype=float) - B @ np.array(src[0], dtype=float)
     return AffineMap(tuple(map(tuple, B)), tuple(shift))
-
-
-def _transpose(rows):
-    return [list(col) for col in zip(*rows)]
 
 
 def verify_problem1(inst: Instance, p: Configuration, p_prime: Configuration,

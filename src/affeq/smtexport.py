@@ -19,7 +19,7 @@ The subsets are the checker's own, from :func:`affeq.cmdet._subsets`, and
 the side tests those of :func:`affeq.system._side_checks`.  Each side is an
 n x n table whose entries are rational constants (pinned squared lengths)
 or variable names (free pairs).  The bordered determinant of k generic
-points, laid out by :func:`affeq.linalg.bordered_matrix` as for the numeric
+points, laid out by :func:`affeq.linalg.bordered_stack` as for the numeric
 kernels, is expanded once per size k, and every k-subset's polynomial is
 that expansion with the side's table entries substituted in.  A side
 test's linear form is twice the cofactor of the tested entry in the
@@ -35,9 +35,11 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from .cmdet import _subsets
 from .errors import InputError
-from .linalg import bordered_matrix, to_fraction
+from .linalg import bordered_stack, to_fraction
 from .system import Instance, _side_checks
 
 
@@ -115,7 +117,7 @@ def _template(k: int, pair=None) -> tuple:
     symbols = {f"{a} {b}": p for p, (a, b) in enumerate(pairs)}
     generic = [[f"{min(a, b)} {max(a, b)}" if a != b else 0 for b in range(k)]
                for a in range(k)]
-    rows = bordered_matrix(generic, range(k))
+    rows = bordered_stack(np.array(generic, dtype=object), [range(k)])[0].tolist()
     sign = 1
     if pair is not None:
         a, b = pair[0] + 1, pair[1] + 1

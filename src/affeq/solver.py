@@ -69,6 +69,11 @@ UNKNOWN = "UNKNOWN"
 # Smallest |det| of the searched map's linear part that the numeric
 # search accepts.
 DET_BARRIER = 1e-3
+# Residual evaluations allowed to one restart of the numeric search.
+_ITERATIONS = 300
+# Largest per-edge relative squared-length residual a restart may leave and
+# still be handed to full verification.
+_TARGET = 1e-8
 # Largest number of same-size subsets the pinned-subsystem scan will visit.
 _CLIQUE_SCAN_CAP = 20000
 # Components with more spanning-tree edges than this are not enumerated.
@@ -84,26 +89,18 @@ _DECISIVE = 1e-6
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Multistart budget for the numeric search.
-
-    ``target`` is the largest per-edge relative squared-length residual a
-    restart may leave and still be handed to full verification.
-    """
+    """Multistart budget for the numeric search: ``restarts`` seeded starts
+    from ``seed``.  Each restart runs at most ``_ITERATIONS`` residual
+    evaluations and must reach ``_TARGET``."""
 
     restarts: int = 40
-    iterations: int = 300
     seed: int = 0
-    target: float = 1e-8
 
     def __post_init__(self):
         if not isinstance(self.restarts, int) or self.restarts < 1:
             raise InputError("restarts must be a positive integer")
-        if not isinstance(self.iterations, int) or self.iterations < 1:
-            raise InputError("iterations must be a positive integer")
         if not isinstance(self.seed, int) or self.seed < 0:
             raise InputError("seed must be a nonnegative integer")
-        if not self.target > 0:
-            raise InputError("target must be positive")
 
 
 @dataclass(frozen=True)
@@ -321,9 +318,9 @@ def numeric_search(inst: Instance, budget: Optional[SearchBudget] = None,
     and the linear part ``B`` of the affine map; residuals are the
     squared-length gaps on both sides.  The map's shift is zero: no length
     depends on it.  Each restart runs ``least_squares`` (Levenberg-Marquardt)
-    from a seeded random start for at most ``budget.iterations`` residual
+    from a seeded random start for at most ``_ITERATIONS`` residual
     evaluations; a restart is accepted only if every gap is within
-    ``budget.target`` and ``|det B| >= DET_BARRIER``.  Returns
+    ``_TARGET`` and ``|det B| >= DET_BARRIER``.  Returns
     ``(certificate, diagnostics)`` with ``certificate`` None when no restart
     produced a solution that re-passed the checker and verifier.  Never
     decides infeasibility.
@@ -399,7 +396,7 @@ def numeric_search(inst: Instance, budget: Optional[SearchBudget] = None,
         # gate below rejects them, so keep the numeric noise quiet
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             result = least_squares(residuals, np.concatenate(parts), jac=jacobian,
-                                   xtol=1e-15, max_nfev=budget.iterations)
+                                   xtol=1e-15, max_nfev=_ITERATIONS)
         diag["restarts_used"] = index + 1
         if not np.all(np.isfinite(result.x)):
             continue
@@ -411,7 +408,7 @@ def numeric_search(inst: Instance, budget: Optional[SearchBudget] = None,
         worst = float(max(g1.max(initial=0.0), g2.max(initial=0.0)))
         diag["best_residual"] = min(diag["best_residual"], worst)
         det = float(np.linalg.det(B))
-        if worst > budget.target or abs(det) < DET_BARRIER:
+        if worst > _TARGET or abs(det) < DET_BARRIER:
             continue
         p_orig = fixed_left.as_array() if fixed is not None else p * c
         if np.linalg.matrix_rank(p_orig - p_orig[0]) < d:

@@ -25,10 +25,9 @@ worst witness and a residual in the units of the original instance.
 Arithmetic follows the package rule (see :mod:`affeq.cmdet`).  Each side is
 rescaled by a prescribed squared length and evaluated in the type of the
 result, so a rational assignment is evaluated exactly only when the
-instance's lengths are rational too.  A side is decided exactly only when
-the policy is ``"auto"``, that side's assignment is rational and the
-instance's lengths are rational; otherwise every test follows
-:class:`Tolerances`.
+instance's lengths are rational too.  A side is decided exactly when its
+assignment and the instance's lengths are rational; otherwise every test
+follows :class:`Tolerances`.
 """
 
 import math
@@ -143,7 +142,8 @@ class Instance:
 
 @dataclass(frozen=True)
 class Assignment:
-    """Candidate values: two squared-distance matrices and a positive ratio."""
+    """Candidate values: two squared-distance matrices and a finite, positive
+    ratio."""
 
     z: SquaredDistanceMatrix
     z_prime: SquaredDistanceMatrix
@@ -152,6 +152,9 @@ class Assignment:
     def __post_init__(self):
         if self.z.n != self.z_prime.n:
             raise InputError("the two matrices must have the same size")
+        # math.isfinite would overflow on a huge int.
+        if not (is_exact_value(self.alpha) or math.isfinite(self.alpha)):
+            raise InputError("alpha must be finite")
         if not self.alpha > 0:
             raise InputError("alpha must be positive")
 
@@ -174,9 +177,8 @@ class Tolerances:
     ``rel_eps`` scales every zero and sign test by the subset magnitude
     M^degree, where M is the largest entry over the subset involved.  The
     ratio and side tests also use the fixed ``ALPHA_REL`` and
-    ``VANISH_CUTOFF``.  A side decided exactly (rational assignment, rational
-    lengths, ``decisions="auto"``) ignores all three; every other side,
-    rational or not, follows them.
+    ``VANISH_CUTOFF``.  A side decided exactly (rational assignment and
+    rational lengths) ignores all three; every other side follows them.
     """
 
     rel_eps: float = 1e-9
@@ -196,8 +198,7 @@ def _side_checks(n, base):
                  for j in range(n) if j not in base for r, i_r in enumerate(base))
 
 
-def find_base_simplex(z: SquaredDistanceMatrix, d: int, rel_eps: float = 1e-9,
-                      strict: Optional[bool] = None):
+def find_base_simplex(z: SquaredDistanceMatrix, d: int, rel_eps: float = 1e-9):
     """The (d+1)-subset with the largest normalized determinant magnitude.
 
     Normalization divides by M^d with M the largest entry over the subset,
@@ -206,12 +207,10 @@ def find_base_simplex(z: SquaredDistanceMatrix, d: int, rel_eps: float = 1e-9,
     tied, and the lexicographically first tied subset wins; this keeps the
     choice stable when several simplices are equally good up to roundoff.
 
-    ``strict`` controls the nonvanishing test: exact comparison against zero
-    when true, ``rel_eps`` times the subset magnitude when false.  The
-    default follows the exactness of ``z``, and inexact data is never
-    compared exactly.
+    The nonvanishing test compares exactly against zero when ``z`` is exact
+    and against ``rel_eps`` times the subset magnitude otherwise.
     """
-    rule = _Rule(bool(z.exact and (strict is None or strict)), rel_eps)
+    rule = _Rule(z.exact, rel_eps)
     subsets = _subsets(z.n, d + 1)
     return _pick_base(z, d, rule, subsets, *_evaluate(z, subsets))
 
@@ -358,8 +357,7 @@ class _Family:
         )
 
 
-def check_assignment(inst: Instance, a: Assignment, tol: Tolerances = Tolerances(),
-                     decisions: str = "auto"):
+def check_assignment(inst: Instance, a: Assignment, tol: Tolerances = Tolerances()):
     """Evaluate every condition family and report per-family worst witnesses.
 
     Distances are rescaled internally so the largest prescribed squared
@@ -367,22 +365,15 @@ def check_assignment(inst: Instance, a: Assignment, tol: Tolerances = Tolerances
     scale factor to the d-th power); residuals and ratios are reported in
     the units of the original input.
 
-    ``decisions`` selects the comparison policy.  Under ``"auto"`` a side
-    is decided exactly when its assignment and the instance's lengths are
-    all rational, and anything else follows ``tol``.  Under ``"tolerant"``
-    every comparison follows ``tol`` even on rational data; evaluation stays
-    exact, so a reported violation on rational data is a rigorous fact about
-    the instance, not roundoff.  A float length makes the rescaling factor a
-    float: a rational assignment on such an instance is then evaluated in
-    floats, and it is decided with ``tol`` under either policy.
+    A side is decided exactly when its assignment and the instance's
+    lengths are all rational, and anything else follows ``tol``.  A float
+    length makes the rescaling factor a float: a rational assignment on such
+    an instance is then evaluated in floats and decided with ``tol``.
     """
     if a.z.n != inst.n:
         raise InputError(
             f"assignment has {a.z.n} vertices, instance has {inst.n}"
         )
-    if decisions not in ("auto", "tolerant"):
-        raise InputError("decisions must be 'auto' or 'tolerant'")
-    strict = decisions == "auto"
     n, d = inst.n, inst.d
     index = {size: _subsets(n, size) for size in range(min(3, d + 1), d + 3)}
 
@@ -391,7 +382,7 @@ def check_assignment(inst: Instance, a: Assignment, tol: Tolerances = Tolerances
                              ("z_prime", a.z_prime, inst.lam_prime_sq())):
         c = max(pins.values(), default=1)
         scaled = orig.scaled(_inverse(c, orig.exact))
-        rule = _Rule(strict and inst.exact and orig.exact, tol.rel_eps)
+        rule = _Rule(inst.exact and orig.exact, tol.rel_eps)
         dets = {size: tuple(map(np.asarray, _evaluate(scaled, idx)))
                 for size, idx in index.items()}
         sides.append((name, orig, scaled, c, pins, rule, dets))

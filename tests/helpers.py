@@ -280,14 +280,14 @@ def _corrupted(rng, n, edges, z, zp, factor):
 def check_report_corpus(seed=0):
     """Seeded inputs for the checker's report digest.
 
-    Returns ``(n, d, lengths, z, z_prime, alpha, decisions)`` tuples:
+    Returns ``(n, d, lengths, z, z_prime, alpha)`` tuples:
     ``lengths`` maps each edge to its two lengths and ``z``, ``z_prime`` are
     row lists for ``SquaredDistanceMatrix(..., allow_negative=True)``.  The
     corpus holds float planted assignments at n 8-14 and d 2-3, the same
     with one free squared distance times 1.5 on one side, integer-lattice
-    assignments (planted and corrupted) under both decision policies, one
-    assignment with an infinite entry, one with a negative entry and a wrong
-    pinned length, and one with every point on a line.
+    assignments (planted and corrupted) twice each, one assignment with an
+    infinite entry, one with a negative entry and a wrong pinned length,
+    and one with every point on a line.
     """
     rng = np.random.default_rng(seed)
     cases = []
@@ -300,12 +300,12 @@ def check_report_corpus(seed=0):
         alpha = float(np.linalg.det(B)) ** 2
         edges = _spanning_edges(rng, n, 0.5)
         lengths = {(i, j): (math.sqrt(z[i][j]), math.sqrt(zp[i][j])) for i, j in edges}
-        cases.append((n, d, lengths, z, zp, alpha, "auto"))
-        cases.append((n, d, lengths, *_corrupted(rng, n, edges, z, zp, 1.5), alpha, "auto"))
+        cases.append((n, d, lengths, z, zp, alpha))
+        cases.append((n, d, lengths, *_corrupted(rng, n, edges, z, zp, 1.5), alpha))
         if (n, d) == (9, 3):
             bad = [list(row) for row in z]
             bad[0][n - 1] = bad[n - 1][0] = math.inf
-            cases.append((n, d, lengths, bad, zp, alpha, "auto"))
+            cases.append((n, d, lengths, bad, zp, alpha))
         if (n, d) == (11, 2):
             # a negative free entry, a wrong pinned length, and the points
             # flattened onto a line on both sides
@@ -315,13 +315,13 @@ def check_report_corpus(seed=0):
             bad[i][j] = bad[j][i] = -bad[i][j]
             wrong = dict(lengths)
             wrong[edges[0]] = (1.1 * lengths[edges[0]][0], lengths[edges[0]][1])
-            cases.append((n, d, wrong, bad, zp, alpha, "auto"))
+            cases.append((n, d, wrong, bad, zp, alpha))
             x = p[:, :1]
             line = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2).tolist()
             flat = {(i, j): (math.sqrt(line[i][j]), 2 * math.sqrt(line[i][j]))
                     for i, j in edges}
             cases.append((n, d, flat, line, [[4 * v for v in row] for row in line],
-                          16.0, "auto"))
+                          16.0))
 
     # Integer points under an integer diagonal map: pairs that differ in
     # one coordinate have integer lengths on both sides and become edges.
@@ -336,9 +336,10 @@ def check_report_corpus(seed=0):
         edges = [(i, j) for i in range(n) for j in range(i + 1, n)
                  if sum(x != y for x, y in zip(p[i], p[j])) == 1]
         lengths = {(i, j): (math.isqrt(z[i][j]), math.isqrt(zp[i][j])) for i, j in edges}
-        for decisions in ("auto", "tolerant"):
-            cases.append((n, d, lengths, z, zp, alpha, decisions))
+        # Two rounds: the pinned digest covers both corruption draws.
+        for _ in range(2):
+            cases.append((n, d, lengths, z, zp, alpha))
             cases.append((n, d, lengths,
                           *_corrupted(rng, n, edges, z, zp, Fraction(3, 2)),
-                          alpha, decisions))
+                          alpha))
     return cases

@@ -81,7 +81,8 @@ class TestSearchBudget:
         assert b.restarts == 40 and b.seed == 0
 
     @pytest.mark.parametrize("kwargs", [
-        {"restarts": 0}, {"seed": -1}, {"restarts": 2.5},
+        {"restarts": 0}, {"restarts": -1}, {"seed": -1}, {"seed": 0.5},
+        {"restarts": 2.5},
     ])
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(InputError):

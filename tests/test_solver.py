@@ -789,6 +789,28 @@ def test_line_oracle_json_pinned():
         "32ee152660777c93222293e6fa885b9930db153d925658aa78ecee14a6938b5c")
 
 
+def numeric_search_outcomes_json():
+    """Verdict kind, stage and ``restarts_used`` of ``solve`` at 6 restarts on
+    the sparse solve-planted cells, seeds 0-1.  No float is written, so the
+    lines cannot move with the BLAS build, only with a changed decision."""
+    budget = SearchBudget(restarts=6)
+    lines = []
+    for seed in range(2):
+        for n, d, density in itertools.product((6, 8, 10), (2, 3), (0.3, 0.5, 0.7)):
+            v = solve(random_instance(seed, n, d, density)[0], budget)
+            lines.append(json.dumps({"kind": v.kind, "stage": v.diagnostics["stage"],
+                                     "restarts_used": v.diagnostics.get("restarts_used")}))
+    return "\n".join(lines)
+
+
+# SHA-256 of numeric_search_outcomes_json; a stopping rule or acceptance
+# change that alters which restart succeeds, or whether any does, shows here.
+def test_numeric_search_outcomes_pinned():
+    digest = hashlib.sha256(numeric_search_outcomes_json().encode()).hexdigest()
+    assert digest == (
+        "2e1c01c885f6820c4b0009a3fadc57f8a158aeeb187ef78312d2402531b4e35d")
+
+
 def test_import_loads_no_scipy():
     code = (
         "import affeq, sys\n"

@@ -71,6 +71,11 @@ UNKNOWN = "UNKNOWN"
 DET_BARRIER = 1e-3
 # Residual evaluations allowed to one restart of the numeric search.
 _ITERATIONS = 300
+# A restart stops once an accepted step lowers the squared residual by less
+# than this fraction of it.  Every restart that reaches _TARGET keeps every
+# accepted step's relative decrease above 6e-10 on the solve-planted rounds,
+# so this cuts only restarts stalled at a nonzero-residual minimum.
+_FTOL = 1e-12
 # Largest per-edge relative squared-length residual a restart may leave and
 # still be handed to full verification.
 _TARGET = 1e-8
@@ -184,7 +189,8 @@ _LM_TAU = 1e-6
 _TINY = float(np.finfo(float).tiny)
 
 
-def least_squares(fun, x0, *, jac, xtol: float, max_nfev: int) -> LeastSquaresResult:
+def least_squares(fun, x0, *, jac, xtol: float, max_nfev: int,
+                  ftol: float = 0.0) -> LeastSquaresResult:
     """Minimize ``|fun(x)|^2`` from ``x0`` by dense Levenberg-Marquardt.
 
     Each step solves the damped normal equations ``(J^T J + mu I) h = -J^T r``
@@ -194,6 +200,9 @@ def least_squares(fun, x0, *, jac, xtol: float, max_nfev: int) -> LeastSquaresRe
     Stops after ``max_nfev`` residual evaluations (the start included), when
     ``|h| <= xtol * (|x| + xtol)``, when the squared residual falls to 1e-30,
     or when the residual or gradient is non-finite or the gradient vanishes.
+    With ``ftol > 0`` it also stops, keeping the step, once an accepted step
+    lowers the squared residual ``F`` by less than ``ftol * F`` (More's
+    relative-reduction test); the default 0 never stops there.
     Works for any number of rows, fewer than unknowns included.
     """
     x = np.array(x0, dtype=float)
@@ -223,7 +232,8 @@ def least_squares(fun, x0, *, jac, xtol: float, max_nfev: int) -> LeastSquaresRe
         if not (math.isfinite(hh)
                 and math.sqrt(hh) > xtol * (math.sqrt(float(x @ x)) + xtol)):
             break
-        r_new = fun(x + h)
+        x_new = x + h
+        r_new = fun(x_new)
         nfev += 1
         cost_new = float(r_new @ r_new)
         # predicted decrease h^T (mu h - g) > 0; numpy division, so an
@@ -231,7 +241,10 @@ def least_squares(fun, x0, *, jac, xtol: float, max_nfev: int) -> LeastSquaresRe
         rho = (cost - cost_new) / (h @ (mu * h - g))
         fresh = rho > 0
         if fresh:
-            x, r, cost = x + h, r_new, cost_new
+            stalled = ftol > 0 and cost - cost_new < ftol * cost
+            x, r, cost = x_new, r_new, cost_new
+            if stalled:
+                break
             mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
             nu = 2.0
         else:
@@ -319,7 +332,9 @@ def numeric_search(inst: Instance, budget: Optional[SearchBudget] = None,
     squared-length gaps on both sides.  The map's shift is zero: no length
     depends on it.  Each restart runs ``least_squares`` (Levenberg-Marquardt)
     from a seeded random start for at most ``_ITERATIONS`` residual
-    evaluations; a restart is accepted only if every gap is within
+    evaluations, and stops it early once an accepted step lowers the squared
+    residual by less than ``_FTOL`` of itself (a restart stalled at a
+    nonzero-residual minimum); a restart is accepted only if every gap is within
     ``_TARGET`` and ``|det B| >= DET_BARRIER``.  Returns
     ``(certificate, diagnostics)`` with ``certificate`` None when no restart
     produced a solution that re-passed the checker and verifier.  Never
@@ -396,7 +411,7 @@ def numeric_search(inst: Instance, budget: Optional[SearchBudget] = None,
         # gate below rejects them, so keep the numeric noise quiet
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             result = least_squares(residuals, np.concatenate(parts), jac=jacobian,
-                                   xtol=1e-15, max_nfev=_ITERATIONS)
+                                   xtol=1e-15, max_nfev=_ITERATIONS, ftol=_FTOL)
         diag["restarts_used"] = index + 1
         if not np.all(np.isfinite(result.x)):
             continue

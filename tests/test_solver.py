@@ -863,6 +863,8 @@ def counted_problem(fun, jac):
 
 
 class TestLeastSquares:
+    # Both problems have a zero residual, which they must still reach under
+    # the search's relative-decrease stop.
     def test_underdetermined_consistent_problem(self):
         # two rows, three unknowns: the unit sphere cut by the plane x0 = x1
         def fun(x):
@@ -871,10 +873,12 @@ class TestLeastSquares:
         def jac(x):
             return np.array([2.0 * x, [1.0, -1.0, 0.0]])
 
-        for x0 in ([2.0, 0.0, 1.0], [0.1, -0.3, 0.2], [-1.0, 3.0, -2.0]):
-            result = least_squares(fun, np.array(x0), jac=jac, xtol=1e-15, max_nfev=100)
+        starts = ([2.0, 0.0, 1.0], [0.1, -0.3, 0.2], [-1.0, 3.0, -2.0])
+        for x0, ftol in itertools.product(starts, (0.0, solver._FTOL)):
+            result = least_squares(fun, np.array(x0), jac=jac, xtol=1e-15,
+                                   max_nfev=100, ftol=ftol)
             r = fun(result.x)
-            assert r @ r < 1e-20, x0
+            assert r @ r < 1e-20, (x0, ftol)
 
     def test_square_problem(self):
         # Rosenbrock's valley as residuals, from the classic start
@@ -884,11 +888,12 @@ class TestLeastSquares:
         def jac(x):
             return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
 
-        result = least_squares(fun, np.array([-1.2, 1.0]), jac=jac,
-                               xtol=1e-15, max_nfev=200)
-        r = fun(result.x)
-        assert r @ r < 1e-20
-        np.testing.assert_allclose(result.x, [1.0, 1.0], rtol=1e-10)
+        for ftol in (0.0, solver._FTOL):
+            result = least_squares(fun, np.array([-1.2, 1.0]), jac=jac,
+                                   xtol=1e-15, max_nfev=200, ftol=ftol)
+            r = fun(result.x)
+            assert r @ r < 1e-20, ftol
+            np.testing.assert_allclose(result.x, [1.0, 1.0], rtol=1e-10)
 
     @pytest.mark.parametrize("max_nfev", [1, 2, 5, 40])
     def test_counts_respect_max_nfev(self, monkeypatch, max_nfev):
@@ -900,6 +905,19 @@ class TestLeastSquares:
         assert type(result.nfev) is int and type(result.njev) is int
         assert result.nfev == calls["fun"] <= max_nfev
         assert result.njev == calls["jac"]
+
+    def test_ftol_stops_a_stalled_search(self, monkeypatch):
+        # LONG_CYCLE is infeasible, so the search settles at a positive
+        # residual; the relative-decrease stop ends it sooner at that cost
+        fun, jac, size = search_functions(monkeypatch, LONG_CYCLE)
+        x0 = np.random.default_rng(3).normal(size=size)
+        runs = [least_squares(fun, x0, jac=jac, xtol=1e-15,
+                              max_nfev=solver._ITERATIONS, ftol=ftol)
+                for ftol in (0.0, solver._FTOL)]
+        full, stopped = (float(fun(r.x) @ fun(r.x)) for r in runs)
+        assert runs[1].nfev < runs[0].nfev
+        assert full > 1e-3
+        assert stopped == pytest.approx(full, rel=1e-9)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_start_returns(self, bad):

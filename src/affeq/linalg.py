@@ -26,6 +26,9 @@ from .errors import InputError
 
 def is_exact_value(x) -> bool:
     """True for values that support exact rational arithmetic."""
+    # int and Fraction skip the abstract-base-class check
+    if type(x) is int or type(x) is Fraction:
+        return True
     return isinstance(x, Rational) and not isinstance(x, bool)
 
 

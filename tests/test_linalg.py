@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from affeq.errors import InputError
-from affeq.linalg import bareiss_det, bareiss_stack, bordered_det_batch, clear_denominators
+from affeq.linalg import (
+    bareiss_det,
+    bareiss_stack,
+    bordered_det_batch,
+    clear_denominators,
+    is_exact_value,
+)
 
 from helpers import cmd_oracle, fraction_bareiss, squared_distance_rows
 
@@ -146,3 +152,12 @@ def test_exact_bordered_det_batch_matches_the_oracle(d):
                                          .reshape(len(subsets), size))
                 assert got.tolist() == want, (d, size)
                 assert all(type(v) is int for v in got.tolist())
+
+
+@pytest.mark.parametrize("value, exact", [
+    (3, True), (Fraction(1, 3), True), (np.int64(3), True),
+    (True, False), (np.bool_(True), False),
+    (0.5, False), (np.float64(0.5), False), (2.0, False),
+])
+def test_is_exact_value(value, exact):
+    assert is_exact_value(value) is exact

@@ -26,7 +26,7 @@ from .errors import InputError
 
 def is_exact_value(x) -> bool:
     """True for values that support exact rational arithmetic."""
-    # int and Fraction skip the abstract-base-class check
+    # the common exact types answer without the slower abstract-base-class test
     if type(x) is int or type(x) is Fraction:
         return True
     return isinstance(x, Rational) and not isinstance(x, bool)

@@ -334,8 +334,8 @@ def numeric_search(inst: Instance, budget: Optional[SearchBudget] = None,
     from a seeded random start for at most ``_ITERATIONS`` residual
     evaluations, and stops it early once an accepted step lowers the squared
     residual by less than ``_FTOL`` of itself (a restart stalled at a
-    nonzero-residual minimum); a restart is accepted only if every gap is within
-    ``_TARGET`` and ``|det B| >= DET_BARRIER``.  Returns
+    nonzero-residual minimum).  A restart is accepted only if every gap is
+    within ``_TARGET`` and ``|det B| >= DET_BARRIER``.  Returns
     ``(certificate, diagnostics)`` with ``certificate`` None when no restart
     produced a solution that re-passed the checker and verifier.  Never
     decides infeasibility.

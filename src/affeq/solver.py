@@ -189,8 +189,7 @@ _LM_TAU = 1e-6
 _TINY = float(np.finfo(float).tiny)
 
 
-def least_squares(fun, x0, *, jac, xtol: float, max_nfev: int,
-                  ftol: float = 0.0) -> LeastSquaresResult:
+def least_squares(fun, x0, *, jac, xtol: float, max_nfev: int) -> LeastSquaresResult:
     """Minimize ``|fun(x)|^2`` from ``x0`` by dense Levenberg-Marquardt.
 
     Each step solves the damped normal equations ``(J^T J + mu I) h = -J^T r``
@@ -200,9 +199,10 @@ def least_squares(fun, x0, *, jac, xtol: float, max_nfev: int,
     Stops after ``max_nfev`` residual evaluations (the start included), when
     ``|h| <= xtol * (|x| + xtol)``, when the squared residual falls to 1e-30,
     or when the residual or gradient is non-finite or the gradient vanishes.
-    With ``ftol > 0`` it also stops, keeping the step, once an accepted step
-    lowers the squared residual ``F`` by less than ``ftol * F`` (More's
-    relative-reduction test); the default 0 never stops there.
+    It also stops, keeping the step, once an accepted step lowers the
+    squared residual ``F`` by less than ``_FTOL * F``: a relative
+    actual-decrease stop after More's ``ftol`` test, which also bounds the
+    predicted decrease and the gain ratio.
     Works for any number of rows, fewer than unknowns included.
     """
     x = np.array(x0, dtype=float)
@@ -241,7 +241,7 @@ def least_squares(fun, x0, *, jac, xtol: float, max_nfev: int,
         rho = (cost - cost_new) / (h @ (mu * h - g))
         fresh = rho > 0
         if fresh:
-            stalled = ftol > 0 and cost - cost_new < ftol * cost
+            stalled = cost - cost_new < _FTOL * cost
             x, r, cost = x_new, r_new, cost_new
             if stalled:
                 break
@@ -411,7 +411,7 @@ def numeric_search(inst: Instance, budget: Optional[SearchBudget] = None,
         # gate below rejects them, so keep the numeric noise quiet
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             result = least_squares(residuals, np.concatenate(parts), jac=jacobian,
-                                   xtol=1e-15, max_nfev=_ITERATIONS, ftol=_FTOL)
+                                   xtol=1e-15, max_nfev=_ITERATIONS)
         diag["restarts_used"] = index + 1
         if not np.all(np.isfinite(result.x)):
             continue

@@ -791,8 +791,9 @@ def test_line_oracle_json_pinned():
 
 def numeric_search_outcomes_json():
     """Verdict kind, stage and ``restarts_used`` of ``solve`` at 6 restarts on
-    the sparse solve-planted cells, seeds 0-1.  No float is written, so the
-    lines cannot move with the BLAS build, only with a changed decision."""
+    the sparse solve-planted cells, seeds 0-1.  No float is written, so
+    last-bit differences between BLAS or numpy builds do not move the lines;
+    a restart that ends near ``_TARGET`` or ``DET_BARRIER`` still could."""
     budget = SearchBudget(restarts=6)
     lines = []
     for seed in range(2):
@@ -864,7 +865,7 @@ def counted_problem(fun, jac):
 
 class TestLeastSquares:
     # Both problems have a zero residual, which they must still reach under
-    # the search's relative-decrease stop.
+    # the relative-decrease stop.
     def test_underdetermined_consistent_problem(self):
         # two rows, three unknowns: the unit sphere cut by the plane x0 = x1
         def fun(x):
@@ -873,12 +874,10 @@ class TestLeastSquares:
         def jac(x):
             return np.array([2.0 * x, [1.0, -1.0, 0.0]])
 
-        starts = ([2.0, 0.0, 1.0], [0.1, -0.3, 0.2], [-1.0, 3.0, -2.0])
-        for x0, ftol in itertools.product(starts, (0.0, solver._FTOL)):
-            result = least_squares(fun, np.array(x0), jac=jac, xtol=1e-15,
-                                   max_nfev=100, ftol=ftol)
+        for x0 in ([2.0, 0.0, 1.0], [0.1, -0.3, 0.2], [-1.0, 3.0, -2.0]):
+            result = least_squares(fun, np.array(x0), jac=jac, xtol=1e-15, max_nfev=100)
             r = fun(result.x)
-            assert r @ r < 1e-20, (x0, ftol)
+            assert r @ r < 1e-20, x0
 
     def test_square_problem(self):
         # Rosenbrock's valley as residuals, from the classic start
@@ -888,12 +887,11 @@ class TestLeastSquares:
         def jac(x):
             return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
 
-        for ftol in (0.0, solver._FTOL):
-            result = least_squares(fun, np.array([-1.2, 1.0]), jac=jac,
-                                   xtol=1e-15, max_nfev=200, ftol=ftol)
-            r = fun(result.x)
-            assert r @ r < 1e-20, ftol
-            np.testing.assert_allclose(result.x, [1.0, 1.0], rtol=1e-10)
+        result = least_squares(fun, np.array([-1.2, 1.0]), jac=jac,
+                               xtol=1e-15, max_nfev=200)
+        r = fun(result.x)
+        assert r @ r < 1e-20
+        np.testing.assert_allclose(result.x, [1.0, 1.0], rtol=1e-10)
 
     @pytest.mark.parametrize("max_nfev", [1, 2, 5, 40])
     def test_counts_respect_max_nfev(self, monkeypatch, max_nfev):
@@ -911,11 +909,15 @@ class TestLeastSquares:
         # residual; the relative-decrease stop ends it sooner at that cost
         fun, jac, size = search_functions(monkeypatch, LONG_CYCLE)
         x0 = np.random.default_rng(3).normal(size=size)
-        runs = [least_squares(fun, x0, jac=jac, xtol=1e-15,
-                              max_nfev=solver._ITERATIONS, ftol=ftol)
-                for ftol in (0.0, solver._FTOL)]
-        full, stopped = (float(fun(r.x) @ fun(r.x)) for r in runs)
-        assert runs[1].nfev < runs[0].nfev
+
+        def run():
+            return least_squares(fun, x0, jac=jac, xtol=1e-15, max_nfev=solver._ITERATIONS)
+
+        stopped_run = run()
+        monkeypatch.setattr(solver, "_FTOL", 0.0)
+        full_run = run()
+        full, stopped = (float(fun(r.x) @ fun(r.x)) for r in (full_run, stopped_run))
+        assert stopped_run.nfev < full_run.nfev
         assert full > 1e-3
         assert stopped == pytest.approx(full, rel=1e-9)
 

@@ -26,9 +26,6 @@ from .errors import InputError
 
 def is_exact_value(x) -> bool:
     """True for values that support exact rational arithmetic."""
-    # the common exact types answer without the slower abstract-base-class test
-    if type(x) is int or type(x) is Fraction:
-        return True
     return isinstance(x, Rational) and not isinstance(x, bool)
 
 

@@ -71,10 +71,10 @@ UNKNOWN = "UNKNOWN"
 DET_BARRIER = 1e-3
 # Residual evaluations allowed to one restart of the numeric search.
 _ITERATIONS = 300
-# A restart stops once an accepted step lowers the squared residual by less
-# than this fraction of it.  Every restart that reaches _TARGET keeps every
-# accepted step's relative decrease above 6e-10 on the solve-planted rounds,
-# so this cuts only restarts stalled at a nonzero-residual minimum.
+# least_squares returns once an accepted step lowers the squared residual by
+# less than this fraction of it.  Every restart that reaches _TARGET keeps
+# every accepted step's relative decrease above 6e-10 on the solve-planted
+# rounds, so this cuts only restarts stalled at a nonzero-residual minimum.
 _FTOL = 1e-12
 # Largest per-edge relative squared-length residual a restart may leave and
 # still be handed to full verification.

@@ -343,3 +343,145 @@ def check_report_corpus(seed=0):
                           *_corrupted(rng, n, edges, z, zp, Fraction(3, 2)),
                           alpha))
     return cases
+
+
+def _rational_sqrt(x):
+    """The rational square root of a nonnegative Fraction, or None."""
+    x = Fraction(x)
+    num, den = math.isqrt(x.numerator), math.isqrt(x.denominator)
+    return Fraction(num, den) if Fraction(num * num, den * den) == x else None
+
+
+def _mirrored(points, j, face):
+    """``points`` with vertex j reflected across the hyperplane through the
+    d points ``face``, in exact arithmetic (d = 1, 2 or 3)."""
+    a = [points[i] for i in face]
+    d = len(a[0])
+    if d == 1:
+        normal = (Fraction(1),)
+    elif d == 2:
+        u = [x - y for x, y in zip(a[1], a[0])]
+        normal = (-u[1], u[0])
+    else:
+        u = [x - y for x, y in zip(a[1], a[0])]
+        v = [x - y for x, y in zip(a[2], a[0])]
+        normal = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+                  u[0] * v[1] - u[1] * v[0])
+    x = points[j]
+    t = 2 * sum((c - o) * m for c, o, m in zip(x, a[0], normal)) / sum(m * m for m in normal)
+    out = list(points)
+    out[j] = tuple(c - t * m for c, m in zip(x, normal))
+    return out
+
+
+def _exact_lengths(rng, p, q, keep):
+    """Each pair whose distance is rational on both point sets, kept with
+    probability keep, mapped to its two lengths."""
+    n = len(p)
+    z, zp = squared_distance_rows(p), squared_distance_rows(q)
+    lengths = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            a, b = _rational_sqrt(z[i][j]), _rational_sqrt(zp[i][j])
+            if a and b and rng.random() < keep:
+                lengths[(i, j)] = (a, b)
+    return lengths
+
+
+# Rational maps per dimension: one general map whose columns have rational
+# norms (so axis-parallel pairs keep rational lengths) and one similarity
+# (a rational rotation times a rational factor, so every rational length
+# stays rational).
+_EXACT_MAPS = {
+    1: [[[Fraction(7, 3)]]],
+    2: [[[Fraction(3, 2), Fraction(5, 6)], [Fraction(2), Fraction(2)]],
+        [[Fraction(7, 5), Fraction(-28, 15)], [Fraction(28, 15), Fraction(7, 5)]]],
+    3: [[[Fraction(1, 2), Fraction(2, 5), Fraction(1, 2)],
+         [Fraction(1), Fraction(3, 5), Fraction(3, 2)],
+         [Fraction(1), Fraction(6, 5), Fraction(9, 4)]],
+        [[Fraction(5, 6), Fraction(5, 3), Fraction(5, 3)],
+         [Fraction(5, 3), Fraction(5, 6), Fraction(-5, 3)],
+         [Fraction(5, 3), Fraction(-5, 3), Fraction(5, 6)]]],
+}
+
+
+def _exact_pool(d):
+    """Rational points at rational distances from each other.
+
+    On a line any rationals will do.  In the plane, a point at angle 2t on a
+    circle of radius R with rational sin t and cos t is rational, and two
+    such points are 2R|sin(t - u)| apart.  In space, that circle in z = 0
+    with radius 3/7, its centre and the points (0, 0, +-4/7).
+    """
+    if d == 1:
+        return [(Fraction(k, m),) for k in range(-6, 7) for m in (2, 3, 5, 7)]
+    halves = set()
+    for a, b, h in [(3, 4, 5), (5, 12, 13), (8, 15, 17), (7, 24, 25), (20, 21, 29)]:
+        for s, c in [(a, b), (b, a), (-a, b), (-b, a)]:
+            halves.add((Fraction(s, h), Fraction(c, h)))
+    radius = Fraction(5, 3) if d == 2 else Fraction(3, 7)
+    circle = sorted({(radius * (c * c - s * s), radius * 2 * s * c) for s, c in halves})
+    if d == 2:
+        return circle
+    return [(x, y, Fraction(0)) for x, y in circle] + [
+        (Fraction(0), Fraction(0), Fraction(h, 7)) for h in (-4, 0, 4)]
+
+
+def exact_report_corpus(seed=0):
+    """Seeded rational inputs for the exact-path digest.
+
+    Returns ``(d, p, q, lengths, cases)`` tuples: points ``p`` with
+    ``Fraction`` coordinates of assorted denominators in d = 1, 2 and 3, their
+    image ``q`` under a non-diagonal rational map and a rational shift,
+    ``lengths`` over the pairs with rational length on both sides, and
+    ``cases``, a list of ``(label, lengths, z, z_prime, alpha)``: the planted
+    assignment, one free entry negated and one times 3/2 on one side, alpha
+    off by 1e-12, and one vertex of ``q`` mirrored across a facet hyperplane
+    of the base simplex that ``find_base_simplex`` picks on ``p``.
+    """
+    from affeq.cmdet import SquaredDistanceMatrix
+    from affeq.errors import NoBaseSimplexError
+    from affeq.system import find_base_simplex
+
+    rng = np.random.default_rng(seed)
+    out = []
+    for d, maps in _EXACT_MAPS.items():
+        pool = _exact_pool(d)
+        for A in maps:
+            det = cofactor_det(A)
+            shift = [Fraction(int(rng.integers(-5, 6)), int(rng.integers(2, 8)))
+                     for _ in range(d)]
+            for n in (d + 3, d + 5):
+                while True:
+                    p = [pool[k] for k in rng.choice(len(pool), size=n, replace=False)]
+                    try:
+                        base = find_base_simplex(
+                            SquaredDistanceMatrix(squared_distance_rows(p)), d)
+                    except NoBaseSimplexError:
+                        continue
+                    break
+                q = [tuple(sum(A[r][m] * x[m] for m in range(d)) + shift[r]
+                           for r in range(d)) for x in p]
+                lengths = _exact_lengths(rng, p, q, 0.9)
+                z, zp = squared_distance_rows(p), squared_distance_rows(q)
+                alpha = det * det
+                free = [(i, j) for i in range(n) for j in range(i + 1, n)
+                        if (i, j) not in lengths]
+                cases = [("planted", lengths, z, zp, alpha)]
+                for label, factor in (("negated", -1), ("times 3/2", Fraction(3, 2))):
+                    if not free:
+                        break
+                    i, j = free[rng.integers(len(free))]
+                    pair = [z, zp]
+                    side = int(rng.integers(2))
+                    pair[side] = [list(row) for row in pair[side]]
+                    pair[side][i][j] = pair[side][j][i] = factor * pair[side][i][j]
+                    cases.append((label, lengths, *pair, alpha))
+                cases.append(("alpha", lengths, z, zp, alpha + Fraction(1, 10**12)))
+                j = next(v for v in range(n) if v not in base)
+                face = base[1:]
+                qm = _mirrored(q, j, face)
+                cases.append(("mirrored", _exact_lengths(rng, p, qm, 0.9), z,
+                              squared_distance_rows(qm), alpha))
+                out.append((d, p, q, lengths, cases))
+    return out

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -6,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from affeq.cmdet import SquaredDistanceMatrix, cmd
+from affeq.cmdet import SquaredDistanceMatrix, cmd, menger_check
 from affeq.errors import (
     InputError,
     NoBaseSimplexError,
@@ -14,7 +15,7 @@ from affeq.errors import (
     RatioSignError,
 )
 from affeq.solver import random_instance
-from affeq import cmdet, linalg
+from affeq import cmdet, linalg, solver
 from affeq.system import (
     CONDITION_KEYS,
     Assignment,
@@ -30,6 +31,7 @@ from affeq.system import (
 from helpers import (
     check_report_corpus,
     cofactor_det,
+    exact_report_corpus,
     random_rational,
     squared_distance_rows,
 )
@@ -447,6 +449,45 @@ def test_check_report_json_pinned():
     digest = hashlib.sha256(pinned_report_json().encode()).hexdigest()
     assert digest == (
         "7de0e6c6715a6df22ea2bd9028e70c6e4c674e012da2ddc29213ec77854d33f7")
+
+
+def exact_report_json():
+    """Exact reports over ``helpers.exact_report_corpus``: ``check_assignment``
+    on every case, ``menger_check`` on both sides of every case at d-1, d
+    and d+1, and ``solver._pinned_scan`` on each case's instance and on
+    copies with one second-side length times 9/10, 3 and 1001/1000.  The two
+    sides have different denominators, so every ratio and residual crosses
+    two powers of them."""
+    rng = np.random.default_rng(4)
+    tol = Tolerances()
+    lines = []
+    for d, p, _, _, cases in exact_report_corpus():
+        n = len(p)
+        for label, lengths, z, zp, alpha in cases:
+            inst = Instance.from_lengths(n, d, lengths)
+            sides = [SquaredDistanceMatrix(rows, allow_negative=True) for rows in (z, zp)]
+            lines.append(json.dumps([label, check_assignment(
+                inst, Assignment(*sides, alpha), tol).to_dict()], sort_keys=True))
+            for D in sides:
+                lines += [json.dumps(_rounded(dataclasses.asdict(menger_check(D, dim))))
+                          for dim in (d - 1, d, d + 1) if dim >= 1]
+            edges = sorted(lengths)
+            for factor in (1, Fraction(9, 10), 3, Fraction(1001, 1000)):
+                k = int(rng.integers(len(edges))) if edges else None
+                table = {e: (a, b * factor if t == k else b)
+                         for t, (e, (a, b)) in enumerate(sorted(lengths.items()))}
+                verdict = solver._pinned_scan(Instance.from_lengths(n, d, table),
+                                              None, tol, None)
+                lines.append(json.dumps(verdict and verdict.to_dict(), sort_keys=True))
+    return "\n".join(lines)
+
+
+# SHA-256 of exact_report_json; exact reports must not depend on how
+# determinants are represented on the way.
+def test_exact_report_json_pinned():
+    digest = hashlib.sha256(exact_report_json().encode()).hexdigest()
+    assert digest == (
+        "cc1f155b715a999a20c9feac4ec795b3d9979a18672c815de782f55f0cc7557f")
 
 
 def test_family_scan_keeps_the_first_witness_within_the_tie_band():

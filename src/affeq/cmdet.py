@@ -7,21 +7,23 @@ which side of a facet hyperplane two points lie.  Everything here is a pure
 function of a :class:`SquaredDistanceMatrix`; no coordinates are needed.
 
 One rule governs arithmetic throughout the package.  Evaluation follows the
-type of the matrix at hand: determinants of an all-rational matrix are exact
-``Fraction`` values, anything else is evaluated in double precision.  A
-rational matrix scaled by a float factor is a float matrix, which is what
+type of the matrix at hand: determinants of an all-rational matrix are exact,
+anything else is evaluated in double precision.  A rational matrix scaled by
+a float factor is a float matrix, which is what
 :func:`affeq.system.check_assignment` evaluates for a rational assignment on
-an instance with float lengths.  Exact evaluation
-clears denominators once per :class:`SquaredDistanceMatrix`, that is once
-per side: with ``L`` the lcm of the entries' denominators, Bareiss
-elimination runs on the ints ``L * z``.  Each batch of same-size subsets on
-one side is one stacked elimination,
+an instance with float lengths.  An exact :class:`SquaredDistanceMatrix`
+holds the ints ``L * z``, ``L`` a common denominator of the entries, and
+:meth:`~SquaredDistanceMatrix.scaled` carries them over.  Each batch of
+same-size subsets on one side is one stacked Bareiss elimination on them,
 :func:`affeq.linalg.bareiss_stack`: determinants on the rooted Gram form
 (:func:`affeq.linalg.bordered_det_batch`), cofactor minors on the bordered
-form.  A bordered determinant over ``m``
-points is homogeneous of degree ``m - 1`` in the entries, and the cofactor
-minor of one entry of degree ``m - 2``, so the rational value is the int
-determinant over ``L**(m-1)`` or ``L**(m-2)``.  Decisions follow
+form.  A bordered determinant over ``m`` points is homogeneous of degree
+``m - 1`` in the entries, and the cofactor minor of one entry of degree
+``m - 2``, so its value is the int determinant over the shared positive
+power ``L**(m-1)`` or ``L**(m-2)``.  The evaluators return those int
+numerators and the power, exact sign tests read the numerators, and
+``_value`` builds a ``Fraction`` only for a value that is reported or
+returned, such as a residual, a ratio or :func:`cmd`.  Decisions follow
 the data too.  Exact data is judged by a value's true sign; for the
 two-sided tests of :mod:`affeq.system` this also needs rational lengths.
 Any other data is judged relative to the scale ``M**(|I|-1)``, where
@@ -71,7 +73,7 @@ class SquaredDistanceMatrix:
     *checked* for nonnegativity rather than rejected at construction.
     """
 
-    __slots__ = ("n", "z", "exact", "_zf", "_zi", "_den")
+    __slots__ = ("n", "exact", "_rows", "_zf", "_num", "_den")
 
     def __init__(self, z, *, allow_negative=False):
         rows = [tuple(row) for row in z]
@@ -87,17 +89,17 @@ class SquaredDistanceMatrix:
                 if not allow_negative and rows[i][j] < 0:
                     raise InputError(f"negative squared distance at ({i},{j})")
         self.n = n
-        self.z = rows
+        self._rows = rows
         self.exact = all(is_exact_value(x) for row in rows for x in row)
         zf = np.asarray([[float(x) for x in row] for row in rows])
         zf.setflags(write=False)
         self._zf = zf
-        # Exact data: the entries times their common denominator, as an
-        # object array of Python ints.
-        self._zi, self._den = None, None
+        # The kernels' input: on exact data the entries times ``_den`` as
+        # Python ints, otherwise the float view with ``_den`` None.
+        self._num, self._den = zf, None
         if self.exact:
             zi, self._den = clear_denominators(rows)
-            self._zi = np.array(zi, dtype=object).reshape(n, n)
+            self._num = np.array(zi, dtype=object).reshape(n, n)
 
     @classmethod
     def from_pairs(cls, n, pairs, *, allow_negative=False):
@@ -108,6 +110,14 @@ class SquaredDistanceMatrix:
                 raise InputError(f"bad pair ({i},{j}) for n={n}")
             z[i][j] = z[j][i] = v
         return cls(z, allow_negative=allow_negative)
+
+    @property
+    def z(self):
+        """The rows of entries; a scaled copy builds them on first use."""
+        if self._rows is None:
+            self._rows = [tuple(Fraction(v, self._den) for v in row)
+                          for row in self._num.tolist()]
+        return self._rows
 
     def as_array(self) -> np.ndarray:
         """Read-only float view of the matrix."""
@@ -123,10 +133,22 @@ class SquaredDistanceMatrix:
         return float(max(abs(self._zf[a, b]) for a, b in combinations(index_set, 2)))
 
     def scaled(self, factor) -> "SquaredDistanceMatrix":
-        """Entrywise multiple; exactness is preserved for rational factors."""
-        return SquaredDistanceMatrix(
-            [[x * factor for x in row] for row in self.z], allow_negative=True
-        )
+        """Entrywise multiple; exactness is preserved for rational factors.
+
+        Exact data times a ``Fraction`` ``p/q`` is not validated again: its ints
+        are multiplied by ``p`` and ``_den`` by ``q``.  Int true division rounds
+        correctly, so the float view is that of the multiplied rows, bitwise.
+        """
+        if not (self.exact and isinstance(factor, Fraction)):
+            return SquaredDistanceMatrix(
+                [[x * factor for x in row] for row in self.z], allow_negative=True
+            )
+        out = object.__new__(SquaredDistanceMatrix)
+        out.n, out.exact, out._rows = self.n, True, None
+        out._num, out._den = self._num * factor.numerator, self._den * factor.denominator
+        out._zf = (out._num / out._den).astype(float)
+        out._zf.setflags(write=False)
+        return out
 
     def __eq__(self, other):
         return isinstance(other, SquaredDistanceMatrix) and self.z == other.z
@@ -201,7 +223,8 @@ def cmd(D: SquaredDistanceMatrix, index_set):
     if not index_set:
         raise InputError("index set must be nonempty")
     _check_subset(D, index_set)
-    return np.asarray(_evaluate(D, [index_set])[0]).item(0)
+    dets, _, power = _evaluate(D, [index_set])
+    return _value(dets.item(0), power)
 
 
 def simplex_volume_sq(D: SquaredDistanceMatrix, index_set):
@@ -239,13 +262,13 @@ class _Rule:
             return 0
         return 1 if value > 0 else -1
 
-    def signs(self, values, scales, eps=None) -> np.ndarray:
-        """:meth:`sign` element by element, as an int array.  A NaN gives
-        -1 under a tolerant rule, as it does in :meth:`sign`."""
+    def signs(self, values, scales, eps=None, power=None) -> np.ndarray:
+        """:meth:`sign` element by element of ``values`` (over ``power`` if one is
+        given), as an int array.  A NaN gives -1 under a tolerant rule."""
         if self.exact:
             values = np.asarray(values)
             return (values > 0).astype(int) - (values < 0)
-        values = np.asarray(values, dtype=float)
+        values = _floats(values, power)
         bound = (self.eps if eps is None else eps) * np.asarray(scales, dtype=float)
         return np.where(np.abs(values) <= bound, 0, np.where(values > 0, 1, -1))
 
@@ -261,15 +284,15 @@ def _subsets(n: int, size: int) -> np.ndarray:
     return idx
 
 
-def _defects(rule: _Rule, d: int, size: int, dets, scales) -> np.ndarray:
+def _defects(rule: _Rule, d: int, size: int, dets, scales, power=None) -> np.ndarray:
     """Mask of the same-size subsets that break embeddability in R^d: a sign
     other than ``(-1)**size`` or zero up to d+1 points, a nonzero value on d+2
-    points.  A NaN fails either test."""
+    points.  A NaN fails either test.  Arguments as :func:`_evaluate` returns."""
     dets = np.asarray(dets)
     if size == d + 2:
-        return rule.signs(dets, scales) != 0
+        return rule.signs(dets, scales, power=power) != 0
     # Negate the values, not the signs: a NaN's sign is -1 either way.
-    return rule.signs(dets if size % 2 == 0 else -dets, scales) < 0
+    return rule.signs(dets if size % 2 == 0 else -dets, scales, power=power) < 0
 
 
 def _subset_max(D: SquaredDistanceMatrix, idx) -> np.ndarray:
@@ -288,28 +311,35 @@ def _scales(D: SquaredDistanceMatrix, idx) -> np.ndarray:
     return powers[inverse]
 
 
+def _value(num, power):
+    """The value(s) ``num / power`` of evaluated determinants: ``Fraction`` on
+    exact data, ``num`` itself when ``power`` is None (float data)."""
+    return num if power is None else num * Fraction(1, power)
+
+
+def _floats(nums, power=None) -> np.ndarray:
+    """Float array of ``nums / power``, ``nums`` if ``power`` is None.  Int true
+    division rounds correctly: each is ``float(_value(num, power))``."""
+    return np.asarray(nums if power is None else np.asarray(nums) / power, dtype=float)
+
+
 def _evaluate(D: SquaredDistanceMatrix, subsets):
     """Bordered determinants over same-size subsets, with their scales.
 
     ``subsets`` is a sequence of index tuples or a 2-D index array.  Returns
-    ``(dets, scales)``, one entry per subset.  ``dets`` is a list of
-    ``Fraction`` values from one stacked int Bareiss elimination over the
-    batch's rooted Gram matrices on exact data, and a float array from a
-    single batched LAPACK call otherwise; ``np.asarray`` turns either into
-    an array.  ``scales`` is a float array
-    of ``M**(|I|-1)`` as in :func:`subset_scale`, with ``M`` the largest
-    entry magnitude over the subset.  Subsets are not validated.
+    ``(dets, scales, power)``.  On exact data ``dets`` holds int numerators
+    from one stacked Bareiss elimination over the batch's rooted Gram
+    matrices, over the shared positive ``power = L**(|I|-1)`` (the degree in
+    the entries).  Otherwise ``dets`` is a float array from a single batched
+    LAPACK call and ``power`` is None, as for an empty batch.  ``scales`` is
+    a float array of ``M**(|I|-1)`` as in :func:`subset_scale`, with ``M``
+    the largest entry magnitude over the subset.  Subsets are not validated.
     """
     if not len(subsets):
-        return [], np.empty(0)
+        return np.empty(0), np.empty(0), None
     idx = np.asarray(subsets, dtype=np.intp)
-    size = idx.shape[1]
-    scales = _scales(D, idx)
-    if D.exact:
-        # Degree size-1 in the entries; the empty set's determinant is 0.
-        power = D._den ** max(size - 1, 0)
-        return [Fraction(v, power) for v in bordered_det_batch(D._zi, idx).tolist()], scales
-    return bordered_det_batch(D.as_array(), idx), scales
+    power = None if D._den is None else D._den ** max(idx.shape[1] - 1, 0)
+    return bordered_det_batch(D._num, idx), _scales(D, idx), power
 
 
 def _linear_forms(D: SquaredDistanceMatrix, subsets, pairs):
@@ -318,11 +348,12 @@ def _linear_forms(D: SquaredDistanceMatrix, subsets, pairs):
     The entry sits symmetrically at two places of the bordered matrix, so the
     derivative is twice its cofactor: one minor per subset, all taken from
     the batch's bordered stack, with one stacked int Bareiss elimination on
-    exact data and one batched LAPACK call otherwise.  Returns a list or an
-    array, as :func:`_evaluate` does its ``dets``.
+    exact data and one batched LAPACK call otherwise.  Returns ``(forms,
+    power)`` as :func:`_evaluate` does; an m-point subset's minor has degree
+    m-2 in the entries, so exact data has ``power = L**(m-2)``.
     """
     if not len(subsets):
-        return []
+        return np.empty(0), None
     idx = np.asarray(subsets, dtype=np.intp)
     count, m = idx.shape
     # Bordered rows a and columns b of each pair's entry; the minor drops both.
@@ -330,14 +361,11 @@ def _linear_forms(D: SquaredDistanceMatrix, subsets, pairs):
     signs = 2 * (-1) ** (a + b)
     keep = np.arange(m)
     rows, cols = (keep + (keep >= x[:, None]) for x in (a, b))
-    minors = bordered_stack(D._zi if D.exact else D.as_array(), idx)[
+    minors = bordered_stack(D._num, idx)[
         np.arange(count)[:, None, None], rows[:, :, None], cols[:, None, :]]
     if D.exact:
-        # An m-point subset's minor is m x m and of degree m-2 in the entries.
-        power = D._den ** (m - 2)
-        return [Fraction(s * v, power)
-                for s, v in zip(signs.tolist(), bareiss_stack(minors).tolist())]
-    return signs * np.linalg.det(minors)
+        return signs * bareiss_stack(minors), D._den ** (m - 2)
+    return signs * np.linalg.det(minors), None
 
 
 def menger_check(D: SquaredDistanceMatrix, d: int,
@@ -358,30 +386,29 @@ def menger_check(D: SquaredDistanceMatrix, d: int,
     rule = _Rule(D.exact, rel_eps)
 
     # (ii): sizes 1 and 2 reduce to -1 and 2z; only entry signs can fail.
-    for i, j in _subsets(n, 2).tolist():
-        v = D.entry(i, j)
-        if v < 0:
-            return EmbeddabilityReport(False, "ii", (i, j), abs(2.0 * float(v)))
+    pairs = _subsets(n, 2)
+    for i, j in pairs[D._num[tuple(pairs.T)] < 0][:1].tolist():
+        return EmbeddabilityReport(False, "ii", (i, j), abs(2.0 * float(D._zf[i, j])))
     # For d = 1 the first size is the pairs, whose sign the entry test above
     # has already settled.
     for size in range(min(3, d + 1), d + 3):
         idx = _subsets(n, size)
-        dets, scales = _evaluate(D, idx)
-        dets = np.asarray(dets)
-        bad = _defects(rule, d, size, dets, scales)
+        dets, scales, power = _evaluate(D, idx)
+        bad = _defects(rule, d, size, dets, scales, power)
         if size <= d + 1:
             # A NaN determinant is left to (iii) and (iv) here.
             bad &= dets == dets
         if bad.any():
             k = np.flatnonzero(bad)[0]
             return EmbeddabilityReport(False, "ii" if size <= d + 1 else "iv",
-                                       tuple(idx[k].tolist()), float(abs(dets[k])))
+                                       tuple(idx[k].tolist()),
+                                       float(abs(_value(dets.item(k), power))))
         if size == d + 1:
             # (iii): a full-rank (d+1)-subset must exist.  The residual is
             # the largest positive margin over its scale, 0.0 if there is none.
             margins = (-1) ** (d + 1) * dets
-            if not (rule.signs(margins, scales) > 0).any():
-                ratios = np.asarray(margins, dtype=float) / scales
+            if not (rule.signs(margins, scales, power=power) > 0).any():
+                ratios = _floats(margins, power) / scales
                 best = float(np.max(ratios, where=ratios > 0, initial=0.0))
                 return EmbeddabilityReport(False, "iii", None, best)
 
@@ -406,8 +433,8 @@ def quadratic_slice(D: SquaredDistanceMatrix, index_set, pair) -> QuadraticSlice
         raise InputError("slice pair must lie inside the index set")
     _check_subset(D, index_set)
     face = tuple(i for i in index_set if i != r and i != s)
-    full, face_det, slope = (np.asarray(v).item(0) for v in (
-        _evaluate(D, [index_set])[0], _evaluate(D, [face])[0],
+    full, face_det, slope = (_value(v.item(0), power) for v, *_, power in (
+        _evaluate(D, [index_set]), _evaluate(D, [face]),
         _linear_forms(D, [index_set], [pair])))
     t = D.entry(r, s)
     U = -face_det
@@ -438,14 +465,14 @@ def side_classify(D: SquaredDistanceMatrix, index_set, pair, d: int,
     _check_subset(D, index_set)
 
     rule = _Rule(D.exact, rel_eps)
-    (full,), (full_scale,) = _evaluate(D, [index_set])
+    (full,), (full_scale,), power = _evaluate(D, [index_set])
     if rule.sign(full, full_scale) != 0:
         raise PreconditionError(
-            f"subset determinant must vanish, got {full}")
-    (face,), (face_scale,) = _evaluate(D, [delta])
+            f"subset determinant must vanish, got {_value(full, power)}")
+    (face,), (face_scale,), _ = _evaluate(D, [delta])
     if rule.sign(face, face_scale) == 0:
         raise PreconditionError("facet is degenerate (zero determinant)")
 
-    (slope,) = _linear_forms(D, [index_set], [pair])
+    (slope,), _ = _linear_forms(D, [index_set], [pair])
     m = D.max_over(index_set)
     return _SIDES[rule.sign((-1) ** d * slope, m**d if m > 0 else 1.0)]

@@ -1,10 +1,10 @@
 """Determinant kernels in two arithmetic modes.
 
-Exact mode takes ``fractions.Fraction`` / ``int`` entries, clears their
-denominators and runs fraction-free Bareiss elimination on Python ints, so
-signs of near-degenerate determinants are decided without rounding.
-Floating mode delegates to LAPACK (elimination with partial pivoting)
-through numpy.
+Exact mode runs fraction-free Bareiss elimination on Python ints, so signs
+of near-degenerate determinants are decided without rounding; the batch
+kernels give int determinants, which :mod:`affeq.cmdet` keeps over a power of
+its common denominator, and only :func:`bareiss_det` returns a ``Fraction``.
+Floating mode delegates to LAPACK (partial pivoting) through numpy.
 
 Batches of same-size determinants take one call in either mode.
 :func:`bordered_det_batch` sends a float matrix's bordered stack to LAPACK.

@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cmdet import SquaredDistanceMatrix, _defects, _evaluate, _Rule, _subsets
+from .cmdet import SquaredDistanceMatrix, _defects, _evaluate, _Rule, _subsets, _value
 from .embedding import Configuration, distances_of
 from .errors import (
     AffeqError,
@@ -519,19 +519,20 @@ def _pinned_scan(inst, budget, tol, fixed_left) -> Optional[Verdict]:
     sides = [SquaredDistanceMatrix.from_pairs(n, table) for table in _pinned_squares(inst)]
     adjacent = np.zeros((n, n), dtype=bool)
     adjacent[tuple(np.asarray(inst.edges).T)] = True
-    ratio_data = []
+    ratio_data, powers = [], ()
     for size in range(min(3, d + 1), d + 3):
         if math.comb(n, size) > _CLIQUE_SCAN_CAP:
             continue
         idx = _subsets(n, size)
         a, b = _subsets(size, 2).T
         cliques = idx[adjacent[idx[:, a], idx[:, b]].all(axis=1)]
-        (u, su), (v, sv) = (map(np.asarray, _evaluate(z, cliques)) for z in sides)
-        bad_z, bad_zp = (_defects(rule, d, size, *side) for side in ((u, su), (v, sv)))
+        (u, su, pu), (v, sv, pv) = evaluated = [_evaluate(z, cliques) for z in sides]
+        bad_z, bad_zp = (_defects(rule, d, size, *side) for side in evaluated)
         bad = np.flatnonzero(bad_z | bad_zp)
         if bad.size:
             k = bad[0]
-            name, value = ("z", u.item(k)) if bad_z[k] else ("z_prime", v.item(k))
+            name, value = (("z", _value(u.item(k), pu)) if bad_z[k] else
+                           ("z_prime", _value(v.item(k), pv)))
             key, note = (("8", "fully pinned subset violates the sign rule")
                          if size <= d + 1 else
                          ("10", "fully pinned subset of d+2 vertices is not flat"))
@@ -539,36 +540,38 @@ def _pinned_scan(inst, budget, tol, fixed_left) -> Optional[Verdict]:
                 key, False, {"matrix": name, "subset": cliques[k].tolist()},
                 residual=abs(value), note=note))
         if size == d + 1:
-            ratio_data = list(zip(cliques.tolist(), u.tolist(), v.tolist(),
-                                  su.tolist(), sv.tolist()))
-    entry = _ratio_consistency(ratio_data, inst.exact)
+            ratio_data, powers = list(zip(cliques.tolist(), u.tolist(), v.tolist(),
+                                          su.tolist(), sv.tolist())), (pu, pv)
+    entry = _ratio_consistency(ratio_data, *powers)
     return None if entry is None else _refuted("pinned-scan", "pinned-subsystem", entry)
 
 
-def _ratio_consistency(ratio_data, exact) -> Optional[ConditionEntry]:
-    """All fully pinned (d+1)-subsets must admit one common positive ratio;
-    in particular neither side's determinant may vanish alone."""
+def _ratio_consistency(ratio_data, pu=None, pv=None) -> Optional[ConditionEntry]:
+    """All fully pinned (d+1)-subsets must admit one common positive ratio, and
+    no determinant may vanish on one side alone.  Exact u, v are over pu, pv."""
     if not ratio_data:
         return None
-    if exact:
+    if pu is not None:
         for subset, u, v, _, _ in ratio_data:
             if (u == 0) != (v == 0):
                 return ConditionEntry(
                     "11", False,
                     {"subset": list(subset),
                      "matrix": "z" if u == 0 else "z_prime"},
-                    residual=abs(u) + abs(v),
+                    residual=abs(_value(u, pu)) + abs(_value(v, pv)),
                     note="determinant vanishes on one side of a pinned subset only")
         anchored = [(s, u, v) for s, u, v, _, _ in ratio_data if u != 0]
         if len(anchored) >= 2:
             s0, u0, v0 = anchored[0]
             for subset, u, v in anchored[1:]:
                 if v0 * u != v * u0:
+                    ratio, other = (_value(y, pv) / _value(x, pu)
+                                    for x, y in ((u, v), (u0, v0)))
                     return ConditionEntry(
                         "11", False,
-                        {"subset": list(subset), "ratio": Fraction(v, u),
-                         "other_subset": list(s0), "other_ratio": Fraction(v0, u0)},
-                        residual=abs(Fraction(v, u) - Fraction(v0, u0)),
+                        {"subset": list(subset), "ratio": ratio,
+                         "other_subset": list(s0), "other_ratio": other},
+                        residual=abs(ratio - other),
                         note="pinned subsets demand incompatible ratios")
         return None
     if len(ratio_data) < 2:

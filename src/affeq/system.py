@@ -42,9 +42,11 @@ from .cmdet import (
     _defects,
     _evaluate,
     _linear_forms,
+    _floats,
     _Rule,
     _subset_max,
     _subsets,
+    _value,
     cmd,
     subset_scale,
 )
@@ -215,16 +217,16 @@ def find_base_simplex(z: SquaredDistanceMatrix, d: int, rel_eps: float = 1e-9):
     return _pick_base(z, d, rule, subsets, *_evaluate(z, subsets))
 
 
-def _pick_base(z, d, rule, subsets, dets, scales):
-    """Base simplex from the evaluated (d+1)-subset rows; see find_base_simplex."""
+def _pick_base(z, d, rule, subsets, dets, scales, power):
+    """Base simplex from ``_evaluate`` on the (d+1)-subsets; see find_base_simplex."""
     if z.n < d + 1:
         raise NoBaseSimplexError(f"need at least {d + 1} vertices, have {z.n}")
-    candidates = np.flatnonzero(rule.signs(dets, scales) != 0)
+    candidates = np.flatnonzero(rule.signs(dets, scales, power=power) != 0)
     if not candidates.size:
         raise NoBaseSimplexError(
             f"every {d + 1}-subset has a vanishing determinant"
         )
-    margins = np.abs(np.asarray(dets, dtype=float)[candidates]) / scales[candidates]
+    margins = np.abs(_floats(dets[candidates], power)) / scales[candidates]
     # As Python's max: a NaN first margin stays the maximum, later NaNs never win.
     top = margins[0] if np.isnan(margins[0]) else np.nanmax(margins)
     tied = np.flatnonzero(margins >= top * (1.0 - 1e-6))
@@ -338,11 +340,11 @@ class _Family:
             self.witness = witness
             self.residual = residual
 
-    def fail_subsets(self, name, idx, values, scales, flagged, c):
+    def fail_subsets(self, name, idx, dets, scales, power, flagged, c):
         """:meth:`fail` for each flagged row of ``idx`` in order, with magnitude
-        ``|value| / scale`` and residual ``|value| * c**(|I|-1)``."""
+        ``|value| / scale`` and residual ``|value| * c**(|I|-1)``, value = det / power."""
         for k in np.flatnonzero(flagged):
-            value = values.item(k)
+            value = _value(dets.item(k), power)
             self.fail(abs(float(value)) / scales.item(k),
                       {"matrix": name, "subset": idx[k].tolist()},
                       abs(value) * c ** (idx.shape[1] - 1))
@@ -383,21 +385,20 @@ def check_assignment(inst: Instance, a: Assignment, tol: Tolerances = Tolerances
         c = max(pins.values(), default=1)
         scaled = orig.scaled(_inverse(c, orig.exact))
         rule = _Rule(inst.exact and orig.exact, tol.rel_eps)
-        dets = {size: tuple(map(np.asarray, _evaluate(scaled, idx)))
-                for size, idx in index.items()}
+        dets = {size: _evaluate(scaled, idx) for size, idx in index.items()}
         sides.append((name, orig, scaled, c, pins, rule, dets))
     (_, _, zs, cz, _, rule_z, dets_z), (_, _, zps, czp, _, rule_zp, dets_zp) = sides
 
     entries = []
 
     fam6 = _Family("6", tol.rel_eps)
-    pairs = _subsets(n, 2).tolist()
+    pairs = _subsets(n, 2)
     for name, orig, scaled, c, _, rule, _ in sides:
         m = max(1.0, scaled.max_over(range(n)))
-        values = [scaled.entry(i, j) for i, j in pairs]
-        for k in np.flatnonzero(rule.signs(values, m) < 0):
-            (i, j), value = pairs[k], values[k]
-            fam6.fail(-float(value) / m, {"matrix": name, "pair": [i, j]}, -orig.entry(i, j))
+        signs = rule.signs(scaled._num[tuple(pairs.T)], m, power=scaled._den)
+        for i, j in pairs[signs < 0].tolist():
+            fam6.fail(-float(scaled.as_array()[i, j]) / m,
+                      {"matrix": name, "pair": [i, j]}, -orig.entry(i, j))
     entries.append(fam6.entry())
 
     fam7 = _Family("7", tol.rel_eps)
@@ -426,8 +427,8 @@ def check_assignment(inst: Instance, a: Assignment, tol: Tolerances = Tolerances
     try:
         base = _pick_base(zs, d, rule_z, index[d + 1], *dets_z[d + 1])
     except NoBaseSimplexError as exc:
-        best = max((abs(value) * cz ** d for value in dets_z[d + 1][0].tolist()),
-                   default=0)
+        nums, _, power = dets_z[d + 1]
+        best = max((abs(_value(v, power)) * cz ** d for v in nums.tolist()), default=0)
         fam9.note = str(exc)
         fam9.fail(float("inf"), None, best)
     entries.append(fam9.entry())
@@ -456,13 +457,21 @@ def check_assignment(inst: Instance, a: Assignment, tol: Tolerances = Tolerances
         # degenerate simplices satisfies it with residual zero, and a
         # determinant vanishing on one side only leaves the whole other
         # determinant as the residual.  Only failing subsets are revisited.
-        (us, sus), (vs, svs) = dets_z[d + 1], dets_zp[d + 1]
-        vf, uf = np.abs(vs.astype(float)), np.abs(af * us.astype(float))
-        bound = (ALPHA_REL * np.where(uf > vf, uf, vf)  # max(vf, uf): a NaN vf stays
-                 + VANISH_CUTOFF * (svs + af * sus))
-        for k in np.flatnonzero(ratio_rule.signs(vs - alpha_scaled * us, bound, 1.0)):
+        (us, sus, pu), (vs, svs, pv) = dets_z[d + 1], dets_zp[d + 1]
+        if ratio_rule.exact:
+            # v - alpha*u times the positive q * pu * pv, for alpha = p/q.
+            off = ratio_rule.signs(alpha_scaled.denominator * pu * vs
+                                   - alpha_scaled.numerator * pv * us, svs)
+        else:
+            uv, vv = _value(us, pu), _value(vs, pv)
+            vf, uf = np.abs(vv.astype(float)), np.abs(af * uv.astype(float))
+            bound = (ALPHA_REL * np.where(uf > vf, uf, vf)  # max(vf, uf): a NaN vf stays
+                     + VANISH_CUTOFF * (svs + af * sus))
+            off = ratio_rule.signs(vv - alpha_scaled * uv, bound, 1.0)
+        for k in np.flatnonzero(off):
             subset = index[d + 1][k].tolist()
-            u, su, v, sv = us.item(k), sus.item(k), vs.item(k), svs.item(k)
+            u, su = _value(us.item(k), pu), sus.item(k)
+            v, sv = _value(vs.item(k), pv), svs.item(k)
             lin = v - alpha_scaled * u
             big = max(abs(float(v)), abs(af * float(u)))
             floor = VANISH_CUTOFF * (sv + af * su)
@@ -485,30 +494,31 @@ def check_assignment(inst: Instance, a: Assignment, tol: Tolerances = Tolerances
         # A slice's U = -cmd(face) depends only on the base face the check
         # leaves out, not on the outside vertex.
         faces = [tuple(i for i in base if i != i_r) for i_r in base]
-        face_dets = [np.asarray(_evaluate(z, faces)[0]) for z in (zs, zps)]
+        face_dets = [_evaluate(z, faces) for z in (zs, zps)]
         checks = _side_checks(n, base)
         rs = [r for _, r, _, _ in checks]
         idx = np.asarray([subset for _, _, subset, _ in checks],
                          dtype=np.intp).reshape(len(checks), d + 2)
         slice_pairs = [pair for _, _, _, pair in checks]
-        ln, lnp = (np.asarray(_linear_forms(z, idx, slice_pairs)) for z in (zs, zps))
+        (ln, pl), (lnp, plp) = (_linear_forms(z, idx, slice_pairs) for z in (zs, zps))
         # Python's max and pow on each check, as one gather of subset maxima.
         mz, mzp = _subset_max(zs, idx).tolist(), _subset_max(zps, idx).tolist()
         face_scale = [max(m, mp, 1.0) ** (d - 1) for m, mp in zip(mz, mzp)]
         scale_l, scale_lp = ([max(m, 1.0) ** d for m in ms] for ms in (mz, mzp))
-        skip = np.any([pair_rule.signs(f[rs], face_scale, VANISH_CUTOFF) == 0
-                       for f in face_dets], axis=0)
+        skip = np.any([pair_rule.signs(f[rs], face_scale, VANISH_CUTOFF, power) == 0
+                       for f, _, power in face_dets], axis=0)
         # A side's sign is settled when the value is clearly zero (within
         # lo) or clearly nonzero (beyond hi); a value in between could be
         # either.  Only two settled, different signs refute.  On exact data
         # every sign is settled, so this is plain sign equality.
         lo = tol.rel_eps
         hi = max(VANISH_CUTOFF, 1e3 * tol.rel_eps)
-        s_lo, s_hi = (pair_rule.signs(ln, scale_l, eps) for eps in (lo, hi))
-        p_lo, p_hi = (pair_rule.signs(lnp, scale_lp, eps) for eps in (lo, hi))
+        s_lo, s_hi = (pair_rule.signs(ln, scale_l, eps, pl) for eps in (lo, hi))
+        p_lo, p_hi = (pair_rule.signs(lnp, scale_lp, eps, plp) for eps in (lo, hi))
         refuted = ~skip & (s_lo == s_hi) & (p_lo == p_hi) & (s_hi != p_hi)
         for k in np.flatnonzero(refuted):
-            (j, r, subset, pair), l, lp = checks[k], ln.item(k), lnp.item(k)
+            (j, r, subset, pair) = checks[k]
+            l, lp = _value(ln.item(k), pl), _value(lnp.item(k), plp)
             fam12.fail(abs(float(l)) / scale_l[k] + abs(float(lp)) / scale_lp[k],
                        {"vertex": j, "r": r, "pair": list(pair), "subset": list(subset)},
                        abs(l) * cz ** d + abs(lp) * czp ** d)

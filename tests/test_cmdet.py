@@ -67,6 +67,27 @@ class TestMatrixValidation:
         assert TRIANGLE_345.exact
         assert not TRIANGLE_345_F.exact
 
+    def test_scaled_by_a_fraction_equals_the_matrix_of_the_multiplied_rows(self):
+        rng = np.random.default_rng(31)
+        int_rows = squared_distance_rows([(0, 0), (3, 1), (1, 4), (5, 2)])
+        for rows in (random_rational_sdm_rows(rng, 5), int_rows):
+            D = SquaredDistanceMatrix(rows)
+            for factor in (Fraction(3, 7), Fraction(-5, 2), Fraction(1, 10**400),
+                           Fraction(10**20, 3), Fraction(0)):
+                got = D.scaled(factor)
+                want = SquaredDistanceMatrix([[x * factor for x in row] for row in rows],
+                                             allow_negative=True)
+                assert got == want and hash(got) == hash(want)
+                assert got.exact and want.exact
+                n = len(rows)
+                for i, j in combinations(range(n), 2):
+                    for a, b in ((i, j), (j, i), (i, i)):
+                        assert type(got.entry(a, b)) is type(want.entry(a, b))
+                        assert got.entry(a, b) == want.entry(a, b)
+                assert got.as_array().tobytes() == want.as_array().tobytes()
+                assert not got.as_array().flags.writeable
+                assert cmd(got, range(n)) == cmd(want, range(n))
+
     def test_equal_matrices_hash_equal(self):
         a = SquaredDistanceMatrix([[0, 9, 25], [9, 0, 16], [25, 16, 0]])
         b = SquaredDistanceMatrix.from_pairs(3, {(0, 1): 9, (1, 2): 16, (0, 2): 25})
@@ -322,22 +343,31 @@ class TestExactEdgeSizes:
          [5, Fraction(2, 5), 0, Fraction(1, 3)],
          [Fraction(7, 6), 9, Fraction(1, 3), 0]]
 
+    # The lcm of the entries' denominators 4, 6, 5 and 3.
+    L = 60
+
     def test_evaluate(self):
+        # Int numerators over the shared power L**(|I|-1).
         D = SquaredDistanceMatrix(self.Z)
         for size in (0, 1, 2, 3):
             subsets = list(combinations(range(4), size))
-            dets, _ = _evaluate(D, subsets)
-            assert dets == [cmd_oracle(self.Z, I) for I in subsets]
-            assert all(type(det) is Fraction for det in dets)
+            dets, _, power = _evaluate(D, subsets)
+            assert power == self.L ** max(size - 1, 0)
+            assert all(type(det) is int for det in dets.tolist())
+            assert ([Fraction(det, power) for det in dets.tolist()]
+                    == [cmd_oracle(self.Z, I) for I in subsets])
 
     def test_linear_forms(self):
+        # Int numerators over the shared power L**(|I|-2).
         D = SquaredDistanceMatrix(self.Z)
         for size in (2, 3):
             subsets = list(combinations(range(4), size))
             pairs = [I[-2:] for I in subsets]
-            forms = _linear_forms(D, subsets, pairs)
-            assert forms == [pair_derivative(self.Z, I, p) for I, p in zip(subsets, pairs)]
-            assert all(type(form) is Fraction for form in forms)
+            forms, power = _linear_forms(D, subsets, pairs)
+            assert power == self.L ** (size - 2)
+            assert all(type(form) is int for form in forms.tolist())
+            assert ([Fraction(form, power) for form in forms.tolist()]
+                    == [pair_derivative(self.Z, I, p) for I, p in zip(subsets, pairs)])
 
     def test_quadratic_slice_of_a_pair(self):
         # The face of a 2-subset is empty, so U is the empty set's determinant.
@@ -353,15 +383,22 @@ class TestExactEdgeSizes:
         big = np.zeros((n, n), dtype=np.int64)
         for i, j in combinations(range(n), 2):
             big[i, j] = big[j, i] = 2**40 + int(rng.integers(0, 2**30))
-        D64, D = SquaredDistanceMatrix(big), SquaredDistanceMatrix(big.tolist())
+        D64 = SquaredDistanceMatrix(big)
+        z = big.tolist()
         assert D64.exact
         for size in range(1, n + 1):
             subsets = list(combinations(range(n), size))
-            assert _evaluate(D64, subsets)[0] == _evaluate(D, subsets)[0]
+            dets, _, power = _evaluate(D64, subsets)
+            assert power == 1
+            assert all(type(det) is int for det in dets.tolist())
+            assert dets.tolist() == [cmd_oracle(z, I) for I in subsets]
             if size >= 2:
                 pairs = [I[:2] for I in subsets]
-                assert (_linear_forms(D64, subsets, pairs)
-                        == _linear_forms(D, subsets, pairs))
+                forms, power = _linear_forms(D64, subsets, pairs)
+                assert power == 1
+                assert all(type(form) is int for form in forms.tolist())
+                assert forms.tolist() == [pair_derivative(z, I, p)
+                                          for I, p in zip(subsets, pairs)]
         full = tuple(range(n))
         assert cmd(D64, full) == cmd_oracle(big.tolist(), full)
         assert abs(cmd(D64, full)) > 2**63
